@@ -833,6 +833,20 @@ func (db *DB) buildRegistry() {
 	counter("epoch_commits", "Transactions committed through epoch group commit.", func(s Stats) int64 { return s.EpochCommits })
 	counter("epoch_flushes", "Epoch batches flushed.", func(s Stats) int64 { return s.EpochFlushes })
 	reg.Gauge("shards", "Number of shards the object space is partitioned into.", func() int64 { return int64(len(db.engines)) })
+	// Schedulers that admit uncommitted access gauge their bookkeeping, so
+	// a slow cell can be told from a long log straight off /metrics. Both
+	// the certifier and the dependency tracker are single, space-wide
+	// instances even on a sharded DB.
+	sched := db.eng.Scheduler()
+	if m, ok := sched.(*cc.Modular); ok {
+		reg.Gauge("cert_tracked_accesses", "Accesses the certifier currently tracks.", func() int64 { return m.Stats().TrackedAccesses })
+		reg.Gauge("cert_tracked_txns", "Transactions the certifier currently tracks (live, or committed with a tracked predecessor).", func() int64 { return m.Stats().TrackedTxns })
+		reg.Gauge("cert_max_step_tests", "Most conflict tests any one step has cost the certifier.", func() int64 { return m.Stats().MaxStepTests })
+	}
+	if dt, ok := sched.(cc.DependencyTracker); ok && dt.RequiresDependencyTracking() {
+		reg.Gauge("dep_tracked_touches", "Uncommitted writes the dependency tracker currently holds.", func() int64 { n, _ := db.eng.DepStats(); return int64(n) })
+		reg.Gauge("dep_tracked_txns", "Transactions registered with the dependency tracker.", func() int64 { _, n := db.eng.DepStats(); return int64(n) })
+	}
 	if db.tr != nil {
 		tr := db.tr
 		reg.Gauge("trace_dropped_spans", "Flight-recorder spans overwritten before being drained.", func() int64 { return int64(tr.Dropped()) })

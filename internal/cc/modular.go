@@ -21,12 +21,32 @@ import (
 // resemble certifiers ... which favour (ii) at the expense of (i) — and
 // the increased danger of scheduling errors requiring abortions",
 // Section 6) ensures the per-object orders are compatible: every step
-// registers its conflict-scope accesses; conflicting accesses induce
+// registers its conflict-scope access; conflicting accesses induce
 // precedence edges between top-level transactions; a transaction commits
 // only if its edges close no cycle among committed transactions. A cycle
 // means the per-object serialisation orders disagree — exactly the
 // Section 2 counterexample — and the committing transaction aborts and
 // retries.
+//
+// Index invariants. log (a core.AccessLog: a step tests only the accesses
+// its relation's operation table cannot rule out) holds the accesses of
+// exactly the tracked transactions in tops: live ones that stepped, and
+// committed ones with a tracked predecessor. For a tracked t, t.in counts
+// the tracked u with an edge u→t and t.out holds t's successors (an
+// aborted one lingers there marked gone, and is skipped).
+//
+// Pruning rule. An edge u→t is drawn only when t steps after u, so t's
+// in-edges are final once it commits: a committed transaction with no
+// tracked predecessor can never lie on a cycle. It is dropped at once, and
+// so, transitively, is every committed successor it leaves without one.
+// This is Section 5.2's discard rule — forget a finished execution once no
+// active one can still be ordered before it — read off the precedence
+// graph, not off start numbers: a low-water mark is unsound here, because
+// a transaction live at t's commit can take an edge into t, commit, and
+// only then acquire a live predecessor (TestModularPruneKeepsReachable).
+// Each edge and access is removed once, so commit and abort cost the
+// transaction's own footprint, and nothing stays tracked once nothing is
+// live.
 //
 // Because transactions may observe uncommitted effects, Modular requires
 // the engine's dependency tracking (cascading aborts) for recoverability,
@@ -34,53 +54,62 @@ import (
 // projection: the experiments verify CheckTheorem5 on every history it
 // admits.
 type Modular struct {
-	mu       sync.Mutex
-	accesses map[string][]certAccess // scope -> accesses in apply order
-	edges    map[int32]map[int32]bool
-	// committed maps a certified transaction to the engine's top-count
-	// watermark at its commit: once every transaction live at that moment
-	// has finished, the entry (its accesses and edges) can no longer
-	// participate in a cycle through a future transaction and is pruned.
-	committed map[int32]int32
-	gcTick    int64
-	stats     CertStats
+	mu    sync.Mutex
+	log   core.AccessLog[*certTop]
+	tops  map[int32]*certTop
+	epoch uint32     // stamp of the current cycle search
+	stack []*certTop // scratch for the cycle search and the drop cascade
+	stats CertStats
 }
 
-type certAccess struct {
-	top  int32
-	step core.StepInfo
+// certTop is a tracked top-level transaction: a node of the precedence
+// graph.
+type certTop struct {
+	id        int32
+	fp        core.Footprint[*certTop]
+	out       map[int32]*certTop
+	last      *certTop // the successor most recently found in out: spares a lookup
+	in        int
+	committed bool
+	gone      bool
+	seen      uint32
 }
 
-// CertStats counts certification outcomes.
+// CertStats counts certification outcomes and gauges the certifier's
+// bookkeeping: accesses and transactions tracked right now, and the most
+// conflict tests any single step has needed.
 type CertStats struct {
 	Validated int64
 	Rejected  int64
+
+	TrackedAccesses int64
+	TrackedTxns     int64
+	MaxStepTests    int64
 }
 
 // NewModular returns the modular certifier scheduler.
 func NewModular() *Modular {
-	return &Modular{
-		accesses:  make(map[string][]certAccess),
-		edges:     make(map[int32]map[int32]bool),
-		committed: make(map[int32]int32),
-	}
+	return &Modular{tops: make(map[int32]*certTop)}
 }
 
 // Name implements engine.Scheduler.
 func (s *Modular) Name() string { return "modular-certifier" }
 
-// Stats returns certification counters.
+// Stats returns certification counters and gauges.
 func (s *Modular) Stats() CertStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.TrackedAccesses, st.TrackedTxns = int64(s.log.Len()), int64(len(s.tops))
+	return st
 }
 
 // Begin implements engine.Scheduler.
 func (s *Modular) Begin(e *engine.Exec) error { return nil }
 
-// Step implements engine.Scheduler: apply under the object latch (the
-// object's own serialisation), register the access and its induced edges.
+// Step implements engine.Scheduler: under the object latch (the object's
+// own serialisation) check recoverability, apply once, then register the
+// completed step and the edges it induces.
 func (s *Modular) Step(e *engine.Exec, obj *engine.Object, inv core.OpInvocation) (core.Value, error) {
 	rel := obj.Schema().Conflicts
 	scope := core.ScopeOf(obj.Name(), rel, inv)
@@ -88,152 +117,148 @@ func (s *Modular) Step(e *engine.Exec, obj *engine.Object, inv core.OpInvocation
 	obj.Latch()
 	defer obj.Unlatch()
 
-	st, err := obj.PeekLocked(inv)
-	if err != nil {
+	// Recoverability first: bail out, before reading or writing, if the
+	// scope is mid-undo. The tracker decides at operation granularity, so
+	// it needs no return value and the operation is evaluated only once.
+	if err := e.Engine().TrackTouch(e, obj, scope, inv); err != nil {
 		return nil, err
 	}
-	// Recoverability first: bail out if the scope is mid-undo.
-	if err := e.Engine().TrackTouch(e, obj, st); err != nil {
+	st, err := obj.ApplyForLocked(e, inv)
+	if err != nil {
 		return nil, err
 	}
 	s.recordAccess(scope, rel, e.ID()[0], st)
-	applied, err := obj.ApplyForLocked(e, inv)
-	if err != nil {
-		return nil, err
-	}
-	return applied.Ret, nil
+	return st.Ret, nil
 }
 
-// recordAccess appends the access and adds precedence edges from every
-// earlier conflicting access by another transaction.
+// recordAccess logs the step and adds a precedence edge from every
+// transaction holding an earlier conflicting access.
 func (s *Modular) recordAccess(scope string, rel core.ConflictRelation, top int32, st core.StepInfo) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, a := range s.accesses[scope] {
-		if a.top == top {
-			continue
-		}
-		if rel.StepConflicts(a.step, st) {
-			s.addEdge(a.top, top)
-		}
+	n := s.tops[top]
+	if n == nil {
+		n = &certTop{id: top}
+		s.tops[top] = n
 	}
-	s.accesses[scope] = append(s.accesses[scope], certAccess{top: top, step: st})
-}
-
-func (s *Modular) addEdge(from, to int32) {
-	m := s.edges[from]
-	if m == nil {
-		m = make(map[int32]bool)
-		s.edges[from] = m
-	}
-	m[to] = true
+	tests := int64(0)
+	s.log.Scan(scope, rel, n, st.Op, func(a *core.Access[*certTop]) bool {
+		from := a.Owner
+		if from.last != n && from.out[top] == nil { // no edge from→n yet
+			if tests++; !rel.StepConflicts(a.Step, st) {
+				return true
+			}
+			if from.out == nil {
+				from.out = make(map[int32]*certTop)
+			}
+			from.out[top] = n
+			n.in++
+		}
+		from.last = n
+		return true
+	})
+	s.log.Add(scope, &n.fp, n, st)
+	s.stats.MaxStepTests = max(s.stats.MaxStepTests, tests)
 }
 
 // Commit implements engine.Scheduler: children commit freely; a top-level
 // transaction is certified — its precedence edges must close no cycle in
 // the subgraph of committed transactions plus itself.
 func (s *Modular) Commit(e *engine.Exec) error {
-	if len(e.ID()) != 1 {
-		return nil
-	}
-	n := e.ID()[0]
-	watermark := e.Engine().TopCount()
-	minLive := e.Engine().MinLiveTop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cycleThrough(n) {
-		s.stats.Rejected++
-		s.dropLocked(n)
+	if len(e.ID()) == 1 && !s.certify(e.ID()[0]) {
 		return &engine.AbortError{
 			Exec:      e.ID(),
-			Reason:    fmt.Sprintf("certification: committing T%d closes a serialisation cycle", n),
+			Reason:    fmt.Sprintf("certification: committing T%d closes a serialisation cycle", e.ID()[0]),
 			Retriable: true,
 		}
-	}
-	s.committed[n] = watermark
-	s.stats.Validated++
-	s.gcTick++
-	if s.gcTick%64 == 0 {
-		s.pruneLocked(minLive)
 	}
 	return nil
 }
 
-// pruneLocked discards accesses and edges of committed transactions that
-// can no longer precede any live or future transaction: every transaction
-// live at their commit has finished (watermark <= minLive).
-func (s *Modular) pruneLocked(minLive int32) {
-	for n, watermark := range s.committed {
-		if watermark <= minLive {
+// certify decides the commit of top-level transaction top and applies the
+// pruning rule: a rejected transaction is dropped, a certified one stays
+// tracked only while it has a tracked predecessor.
+func (s *Modular) certify(top int32) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.tops[top] // nil: never stepped, nothing to order
+	if n != nil && s.cycleThrough(n) {
+		s.stats.Rejected++
+		s.dropLocked(n)
+		return false
+	}
+	s.stats.Validated++
+	if n != nil {
+		if n.committed = true; n.in == 0 {
 			s.dropLocked(n)
-			delete(s.committed, n)
 		}
 	}
+	return true
 }
 
 // cycleThrough reports whether n lies on a cycle within committed ∪ {n}.
-func (s *Modular) cycleThrough(n int32) bool {
-	inScope := func(m int32) bool {
-		if m == n {
-			return true
-		}
-		_, ok := s.committed[m]
-		return ok
+// A cycle needs an edge in and an edge out, so most commits search nothing.
+func (s *Modular) cycleThrough(n *certTop) bool {
+	if n.in == 0 || len(n.out) == 0 {
+		return false
 	}
-	// DFS from n through in-scope edges; a path back to n is a cycle.
-	seen := map[int32]bool{}
-	var stack []int32
-	for m := range s.edges[n] {
-		if inScope(m) && !seen[m] {
-			seen[m] = true
-			stack = append(stack, m)
-		}
-	}
-	for len(stack) > 0 {
+	s.epoch++
+	found := false
+	stack := append(s.stack[:0], n)
+	for len(stack) > 0 && !found {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if x == n {
-			return true
-		}
-		for m := range s.edges[x] {
-			if inScope(m) && !seen[m] {
-				seen[m] = true
+		for _, m := range x.out {
+			if m == n {
+				found = true
+			} else if m.committed && !m.gone && m.seen != s.epoch {
+				m.seen = s.epoch
 				stack = append(stack, m)
 			}
 		}
 	}
-	return false
+	s.stack = stack[:0]
+	return found
 }
 
 // Abort implements engine.Scheduler: an aborted top-level transaction's
 // accesses and edges vanish.
 func (s *Modular) Abort(e *engine.Exec) {
-	if len(e.ID()) != 1 {
-		return
+	if len(e.ID()) == 1 {
+		s.discard(e.ID()[0])
 	}
+}
+
+func (s *Modular) discard(top int32) {
 	s.mu.Lock()
-	s.dropLocked(e.ID()[0])
+	if n := s.tops[top]; n != nil {
+		s.dropLocked(n)
+	}
 	s.mu.Unlock()
 }
 
-func (s *Modular) dropLocked(n int32) {
-	for scope, list := range s.accesses {
-		out := list[:0]
-		for _, a := range list {
-			if a.top != n {
-				out = append(out, a)
+// dropLocked stops tracking n — aborted, rejected, or committed with no
+// tracked predecessor — and then, transitively, every committed successor
+// left without one (the pruning rule above).
+func (s *Modular) dropLocked(n *certTop) {
+	stack := append(s.stack[:0], n)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		x.gone = true
+		delete(s.tops, x.id)
+		s.log.Drop(&x.fp)
+		for _, m := range x.out {
+			if m.gone {
+				continue
+			}
+			if m.in--; m.in == 0 && m.committed {
+				stack = append(stack, m)
 			}
 		}
-		if len(out) == 0 {
-			delete(s.accesses, scope)
-		} else {
-			s.accesses[scope] = out
-		}
+		x.out = nil
 	}
-	delete(s.edges, n)
-	for _, m := range s.edges {
-		delete(m, n)
-	}
+	s.stack = stack[:0]
 }
 
 // RequiresDependencyTracking: yes — optimistic execution observes

@@ -94,7 +94,7 @@ func (s *NTO) Step(e *engine.Exec, obj *engine.Object, inv core.OpInvocation) (c
 	// Recoverability: the step may conflict with uncommitted effects of an
 	// older transaction; register the dependency (or learn that the data
 	// is mid-undo and bail out).
-	if err := e.Engine().TrackTouch(e, obj, req); err != nil {
+	if err := e.Engine().TrackTouch(e, obj, scope, inv); err != nil {
 		return nil, err
 	}
 	applied, err := obj.ApplyForLocked(e, inv)

@@ -42,6 +42,10 @@ func VerifyCommutativitySoundness(sc *Schema, s State, a, b OpInvocation) (ran b
 
 	stepA := StepInfo{Op: a.Op, Args: a.Args, Ret: retA1}
 	stepB := StepInfo{Op: b.Op, Args: b.Args, Ret: retB1}
+	if !OpsMayConflict(sc.Conflicts, a.Op, b.Op) && (sc.Conflicts.OpConflicts(a, b) || sc.Conflicts.StepConflicts(stepA, stepB)) {
+		return false, fmt.Errorf("schema %s: the relation's OpFilter rules out %s/%s, yet it conflicts %v with %v",
+			sc.Name, a.Op, b.Op, stepA, stepB)
+	}
 	if sc.Conflicts.StepConflicts(stepA, stepB) {
 		return false, nil // declared conflicting: no commutativity obligation
 	}

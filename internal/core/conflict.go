@@ -29,6 +29,25 @@ type ConflictRelation interface {
 	StepConflicts(a, b StepInfo) bool
 }
 
+// OpFilter is optionally implemented by conflict relations that can rule a
+// conflict out from the two operation names alone — the compile-time
+// commutativity table of Malta/Martinez. OpsMayConflict(a, b) == false is a
+// promise that OpConflicts and StepConflicts are false for every step of
+// operation a followed by every step of operation b, whatever the
+// arguments and return values. Bookkeeping that scans earlier accesses
+// (AccessLog) uses it to skip whole operations; a relation without it is
+// opaque and nothing is skipped.
+type OpFilter interface {
+	OpsMayConflict(a, b string) bool
+}
+
+// OpsMayConflict consults rel's OpFilter; an opaque relation may always
+// conflict.
+func OpsMayConflict(rel ConflictRelation, a, b string) bool {
+	f, ok := rel.(OpFilter)
+	return !ok || f.OpsMayConflict(a, b)
+}
+
 // Sharder is implemented by conflict relations that can scope invocations:
 // invocations with different shard keys never conflict. Lock managers and
 // timestamp tables use it to partition their bookkeeping.
@@ -100,6 +119,9 @@ func (t *TableConflict) OpConflicts(a, b OpInvocation) bool {
 	}
 	return ValueEqual(t.key(a.Op, a.Args), t.key(b.Op, b.Args))
 }
+
+// OpsMayConflict implements OpFilter: only pairs in the table conflict.
+func (t *TableConflict) OpsMayConflict(a, b string) bool { return t.Pairs[[2]string{a, b}] }
 
 // ShardKey exposes the table's conflict scope so that lock managers can
 // shard their tables: invocations with different shard keys never conflict.

@@ -49,12 +49,9 @@ func arg(args []Value, i int) Value {
 
 // OpConflicts implements ConflictRelation.
 func (d *DerivedRelation) OpConflicts(a, b OpInvocation) bool {
-	if !d.knows(a.Op) || !d.knows(b.Op) {
-		return true // unknown operation: conservatively conflict
-	}
 	v, ok := d.Pairs[[2]string{a.Op, b.Op}]
 	if !ok {
-		return false
+		return d.OpsMayConflict(a.Op, b.Op) // true only for an unknown operation
 	}
 	if !v.Keyed {
 		return true
@@ -65,6 +62,16 @@ func (d *DerivedRelation) OpConflicts(a, b OpInvocation) bool {
 // StepConflicts implements ConflictRelation.
 func (d *DerivedRelation) StepConflicts(a, b StepInfo) bool {
 	return d.OpConflicts(a.Invocation(), b.Invocation())
+}
+
+// OpsMayConflict implements OpFilter: a pair of known operations absent
+// from the table never conflicts; an unknown operation conservatively
+// conflicts with everything.
+func (d *DerivedRelation) OpsMayConflict(a, b string) bool {
+	if _, ok := d.Pairs[[2]string{a, b}]; ok {
+		return true
+	}
+	return !d.knows(a) || !d.knows(b)
 }
 
 // Sharded wraps the relation with a shard key on argument position a, so
@@ -119,6 +126,10 @@ func (r *refinedRelation) OpConflicts(a, b OpInvocation) bool { return r.base.Op
 func (r *refinedRelation) StepConflicts(a, b StepInfo) bool {
 	return r.base.StepConflicts(a, b) && r.refine(a, b)
 }
+
+// OpsMayConflict implements OpFilter by delegation: refinement only
+// shrinks the relation, so whatever the base rules out stays ruled out.
+func (r *refinedRelation) OpsMayConflict(a, b string) bool { return OpsMayConflict(r.base, a, b) }
 
 type refinedSharded struct {
 	*refinedRelation

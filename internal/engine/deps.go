@@ -23,21 +23,29 @@ import (
 // a younger to an older top-level transaction, the dependency graph is
 // acyclic and cascades terminate.
 //
+// Index invariants. log (a core.AccessLog) holds exactly the mutating
+// touches of transactions that have neither committed nor finished
+// aborting, each chained on its toucher's topState. Read-only steps are
+// tested against it but never filed: an uncommitted read leaves nothing
+// another transaction could observe or overwrite, so nothing depends on
+// it. A step thus tests only the live writes its relation's operation
+// table cannot rule out.
+//
+// Pruning rule. A touch matters only while its effect is uncommitted, so
+// commitTop and finishAbort drop the transaction's own touches — nothing
+// else is visited — which is Section 5.2's discard rule at its sharpest: a
+// finished execution is no source of dirty data for any active one. forget
+// then removes the topState; nothing stays tracked once nothing is live.
+//
 // The committed history that remains after cascades contains no dirty
 // reads, which is exactly what core.History.CheckLegal's effective-steps
 // replay verifies.
 type depTracker struct {
 	enabled bool
 
-	mu      sync.Mutex
-	touches map[string][]touchRec // scope -> touches by live transactions
-	tops    map[int32]*topState
-}
-
-type touchRec struct {
-	top      int32
-	step     core.StepInfo
-	readOnly bool
+	mu   sync.Mutex
+	log  core.AccessLog[*topState]
+	tops map[int32]*topState
 }
 
 type topStatus int
@@ -51,7 +59,8 @@ const (
 
 type topState struct {
 	status topStatus
-	deps   map[int32]bool // transactions this one observed uncommitted
+	deps   map[int32]bool            // transactions this one observed uncommitted; nil until the first
+	fp     core.Footprint[*topState] // this transaction's touches in depTracker.log
 	exec   *Exec
 	done   chan struct{} // closed at commit or full abort
 	// committing marks a transaction blocked in the commit barrier; used
@@ -62,11 +71,7 @@ type topState struct {
 }
 
 func newDepTracker(enabled bool) *depTracker {
-	return &depTracker{
-		enabled: enabled,
-		touches: make(map[string][]touchRec),
-		tops:    make(map[int32]*topState),
-	}
+	return &depTracker{enabled: enabled, log: core.AccessLog[*topState]{Either: true}, tops: make(map[int32]*topState)}
 }
 
 func (d *depTracker) beginTop(e *Exec) {
@@ -74,81 +79,72 @@ func (d *depTracker) beginTop(e *Exec) {
 		return
 	}
 	d.mu.Lock()
-	d.tops[e.id[0]] = &topState{
-		status: topRunning,
-		deps:   make(map[int32]bool),
-		exec:   e,
-		done:   make(chan struct{}),
-	}
+	d.tops[e.id[0]] = &topState{status: topRunning, exec: e, done: make(chan struct{})}
 	d.mu.Unlock()
 }
 
-// touch registers a prospective step of execution e (top-level root n). It
-// must be called before the step is applied, under the object's latch. It
-// fails when the step conflicts with the uncommitted effects of a
-// transaction that is currently aborting — the step's execution must abort
-// (retriably) rather than observe state mid-undo.
-func (d *depTracker) touch(e *Exec, obj *Object, step core.StepInfo, readOnly bool) error {
-	if !d.enabled {
-		return nil
-	}
+// touch registers a prospective step of execution e (top-level root n) in
+// the given conflict scope. It must be called before the step is applied,
+// under the object's latch. It fails when the step conflicts with the
+// uncommitted effects of a transaction that is currently aborting — the
+// step's execution must abort (retriably) rather than observe state
+// mid-undo.
+func (d *depTracker) touch(e *Exec, scope string, rel core.ConflictRelation, inv core.OpInvocation, readOnly bool) error {
 	n := e.id[0]
-	rel := obj.schema.Conflicts
-	scope := core.ScopeOf(obj.name, rel, step.Invocation())
-
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	self := d.tops[n]
 	if self == nil || self.status != topRunning {
 		return &AbortError{Exec: e.id, Reason: "cascade (self not running)", Retriable: true, Err: ErrKilled}
 	}
-	for _, t := range d.touches[scope] {
-		if t.top == n {
-			continue
-		}
-		other := d.tops[t.top]
-		if other == nil || other.status == topCommitted {
-			continue
-		}
-		// Conflict in either order matters for recoverability: observing
-		// (read-after-write) or overwriting (write-after-write) dirty
-		// effects both require the toucher to commit first. The test is
-		// deliberately conservative (operation granularity): touches may
-		// lack return values — conservative NTO registers them before
-		// execution — and a missed dependency breaks recoverability,
-		// while a surplus one merely costs a wait or a retry.
-		if t.readOnly && readOnly {
-			continue
-		}
-		if !rel.OpConflicts(t.step.Invocation(), step.Invocation()) &&
-			!rel.OpConflicts(step.Invocation(), t.step.Invocation()) {
-			continue
-		}
-		if t.readOnly && !readOnly {
-			// Write after an uncommitted read: the reader's abort would
-			// not disturb this step's effects; no dependency needed.
-			continue
-		}
-		if other.status == topAborting || other.status == topAborted {
-			return &AbortError{Exec: e.id, Reason: fmt.Sprintf("cascade: scope %q mid-undo of T%d", scope, t.top), Retriable: true, Err: ErrKilled}
-		}
-		if self.deps[t.top] {
-			continue
-		}
-		// Keep the dependency graph acyclic: mutual observation of
-		// uncommitted effects would deadlock the commit barrier, entangle
-		// abort ordering (undo closures of conflicting steps must run in
-		// reverse step order, which only a consistent dependency
-		// direction guarantees), and could never certify anyway. The
-		// toucher that would close a cycle aborts and retries. Under
-		// timestamp ordering dependencies always point young->old, so
-		// this never fires for NTO.
-		if d.reachableLocked(t.top, n) {
-			return &AbortError{Exec: e.id, Reason: fmt.Sprintf("mutual observation with T%d at scope %q", t.top, scope), Retriable: true, Err: ErrKilled}
-		}
-		self.deps[t.top] = true
+	var err error
+	d.log.Scan(scope, rel, self, inv.Op, func(t *core.Access[*topState]) bool {
+		err = d.observeLocked(e, self, scope, rel, t, inv)
+		return err == nil
+	})
+	if err == nil && !readOnly {
+		d.log.Add(scope, &self.fp, self, core.StepInfo{Op: inv.Op, Args: inv.Args})
 	}
-	d.touches[scope] = append(d.touches[scope], touchRec{top: n, step: step, readOnly: readOnly})
+	return err
+}
+
+// observeLocked decides what the earlier uncommitted write t means for the
+// step inv of e: nothing, a commit dependency, or an abort of e.
+func (d *depTracker) observeLocked(e *Exec, self *topState, scope string, rel core.ConflictRelation, t *core.Access[*topState], inv core.OpInvocation) error {
+	other, m := t.Owner, t.Owner.exec.id[0]
+	if other.status == topCommitted {
+		return nil
+	}
+	// Conflict in either order matters for recoverability: observing
+	// (read-after-write) or overwriting (write-after-write) dirty effects
+	// both require the toucher to commit first. The test is deliberately
+	// conservative (operation granularity): touches carry no return
+	// values — they are registered before execution — and a missed
+	// dependency breaks recoverability, while a surplus one merely costs
+	// a wait or a retry.
+	if !rel.OpConflicts(t.Step.Invocation(), inv) && !rel.OpConflicts(inv, t.Step.Invocation()) {
+		return nil
+	}
+	if other.status == topAborting || other.status == topAborted {
+		return &AbortError{Exec: e.id, Reason: fmt.Sprintf("cascade: scope %q mid-undo of T%d", scope, m), Retriable: true, Err: ErrKilled}
+	}
+	if self.deps[m] {
+		return nil
+	}
+	// Keep the dependency graph acyclic: mutual observation of
+	// uncommitted effects would deadlock the commit barrier, entangle
+	// abort ordering (undo closures of conflicting steps must run in
+	// reverse step order, which only a consistent dependency direction
+	// guarantees), and could never certify anyway. The toucher that would
+	// close a cycle aborts and retries. Under timestamp ordering
+	// dependencies always point young->old, so this never fires for NTO.
+	if d.reachableLocked(m, e.id[0]) {
+		return &AbortError{Exec: e.id, Reason: fmt.Sprintf("mutual observation with T%d at scope %q", m, scope), Retriable: true, Err: ErrKilled}
+	}
+	if self.deps == nil {
+		self.deps = make(map[int32]bool)
+	}
+	self.deps[m] = true
 	return nil
 }
 
@@ -292,7 +288,7 @@ func (d *depTracker) barrierCycleLocked(n int32) bool {
 	return false
 }
 
-// commitTop finalises a top-level commit: removes its touches and wakes
+// commitTop finalises a top-level commit: drops its touches and wakes
 // dependents.
 func (d *depTracker) commitTop(e *Exec) {
 	if !d.enabled {
@@ -300,12 +296,11 @@ func (d *depTracker) commitTop(e *Exec) {
 	}
 	n := e.id[0]
 	d.mu.Lock()
-	self := d.tops[n]
-	if self != nil {
+	if self := d.tops[n]; self != nil {
 		self.status = topCommitted
 		close(self.done)
+		d.log.Drop(&self.fp)
 	}
-	d.dropTouches(n)
 	d.mu.Unlock()
 }
 
@@ -350,30 +345,14 @@ func (d *depTracker) finishAbort(e *Exec) {
 	}
 	n := e.id[0]
 	d.mu.Lock()
-	self := d.tops[n]
-	if self != nil && self.status != topAborted {
-		self.status = topAborted
-		close(self.done)
+	if self := d.tops[n]; self != nil {
+		if self.status != topAborted {
+			self.status = topAborted
+			close(self.done)
+		}
+		d.log.Drop(&self.fp)
 	}
-	d.dropTouches(n)
 	d.mu.Unlock()
-}
-
-// dropTouches removes all touches of transaction n; caller holds d.mu.
-func (d *depTracker) dropTouches(n int32) {
-	for scope, list := range d.touches {
-		out := list[:0]
-		for _, t := range list {
-			if t.top != n {
-				out = append(out, t)
-			}
-		}
-		if len(out) == 0 {
-			delete(d.touches, scope)
-		} else {
-			d.touches[scope] = out
-		}
-	}
 }
 
 // forget drops the transaction's registration entirely (after its Run

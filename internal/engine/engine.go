@@ -548,15 +548,30 @@ func (en *Engine) abortExec(e *Exec, cause error) {
 
 // TrackTouch registers a prospective step with the recoverability tracker
 // (see depTracker). Schedulers that admit access to uncommitted effects
-// must call it under the object's latch, before applying the step; a
-// returned error (always retriable) means the step must not be applied and
-// the execution must abort. No-op when dependency tracking is disabled.
-func (en *Engine) TrackTouch(e *Exec, obj *Object, step core.StepInfo) error {
+// must call it under the object's latch, before applying the step, with
+// the step's conflict scope (core.ScopeOf — the caller has computed it
+// already); a returned error (always retriable) means the step must not
+// be applied and the execution must abort. No-op when dependency tracking
+// is disabled.
+func (en *Engine) TrackTouch(e *Exec, obj *Object, scope string, inv core.OpInvocation) error {
+	if !en.deps.enabled {
+		return nil
+	}
 	readOnly := false
-	if op, err := obj.schema.Op(step.Op); err == nil {
+	if op, err := obj.schema.Op(inv.Op); err == nil {
 		readOnly = op.ReadOnly
 	}
-	return en.deps.touch(e, obj, step, readOnly)
+	return en.deps.touch(e, scope, obj.schema.Conflicts, inv, readOnly)
+}
+
+// DepStats gauges the recoverability tracker: the uncommitted writes it
+// holds and the top-level transactions registered with it right now (both
+// zero when tracking is disabled or nothing is live). Space-wide under
+// Options.Shared.
+func (en *Engine) DepStats() (touches, txns int) {
+	en.deps.mu.Lock()
+	defer en.deps.mu.Unlock()
+	return en.deps.log.Len(), len(en.deps.tops)
 }
 
 // History returns a snapshot of the run's recorded history, or nil when

@@ -344,11 +344,8 @@ func (trackingScheduler) Name() string { return "tracking-none" }
 func (trackingScheduler) Step(e *Exec, obj *Object, inv core.OpInvocation) (core.Value, error) {
 	obj.Latch()
 	defer obj.Unlatch()
-	st, err := obj.PeekLocked(inv)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.Engine().TrackTouch(e, obj, st); err != nil {
+	scope := core.ScopeOf(obj.Name(), obj.Schema().Conflicts, inv)
+	if err := e.Engine().TrackTouch(e, obj, scope, inv); err != nil {
 		return nil, err
 	}
 	applied, err := obj.ApplyForLocked(e, inv)

@@ -108,6 +108,12 @@ func (accountConflicts) OpConflicts(a, b core.OpInvocation) bool {
 	return !(a.Op == "Deposit" && b.Op == "Deposit")
 }
 
+// OpsMayConflict implements core.OpFilter: OpConflicts never looks past
+// the operation names.
+func (r accountConflicts) OpsMayConflict(a, b string) bool {
+	return r.OpConflicts(core.OpInvocation{Op: a}, core.OpInvocation{Op: b})
+}
+
 func (accountConflicts) StepConflicts(a, b core.StepInfo) bool {
 	type kind int
 	const (

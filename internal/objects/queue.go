@@ -105,6 +105,12 @@ func (queueConflicts) OpConflicts(a, b core.OpInvocation) bool {
 	return !(a.Op == "Len" && b.Op == "Len")
 }
 
+// OpsMayConflict implements core.OpFilter: OpConflicts never looks past
+// the operation names.
+func (r queueConflicts) OpsMayConflict(a, b string) bool {
+	return r.OpConflicts(core.OpInvocation{Op: a}, core.OpInvocation{Op: b})
+}
+
 func (queueConflicts) StepConflicts(a, b core.StepInfo) bool {
 	switch {
 	case a.Op == "Enqueue" && b.Op == "Dequeue":

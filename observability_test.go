@@ -137,6 +137,65 @@ func TestMetricsStatsParity(t *testing.T) {
 	}
 }
 
+// TestCertifierGauges: under the modular scheduler the registry carries
+// the certifier's and the dependency tracker's bookkeeping gauges — live
+// values while a transaction is open, zero once the DB is quiescent, and
+// a high-water mark of conflict tests per step — and under a lock-based
+// scheduler it carries none of them.
+func TestCertifierGauges(t *testing.T) {
+	gauges := []string{"cert_tracked_accesses", "cert_tracked_txns", "cert_max_step_tests", "dep_tracked_touches", "dep_tracked_txns"}
+	plain, err := objectbase.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range gauges {
+		if _, ok := plain.Metrics().Gauges[g]; ok {
+			t.Errorf("lock-based DB exports certifier gauge %q", g)
+		}
+	}
+	db, err := objectbase.Open(objectbase.WithScheduler("modular"), objectbase.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterObject("d", objectbase.Dictionary(), nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var inside map[string]int64
+	for i := 0; i < 3; i++ {
+		if _, err := db.Exec(ctx, "w", func(x *objectbase.Ctx) (objectbase.Value, error) {
+			if _, err := x.Do("d", "Insert", int64(i), int64(i)); err != nil {
+				return nil, err
+			}
+			if _, err := x.Do("d", "Len"); err != nil {
+				return nil, err
+			}
+			inside = db.Metrics().Gauges
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]int64{"cert_tracked_accesses": 2, "cert_tracked_txns": 1, "dep_tracked_touches": 1, "dep_tracked_txns": 1}
+	for g, v := range want {
+		if inside[g] != v {
+			t.Errorf("inside a transaction %s = %d, want %d", g, inside[g], v)
+		}
+	}
+	after := db.Metrics().Gauges
+	for _, g := range gauges {
+		v, ok := after[g]
+		if !ok {
+			t.Errorf("modular DB does not export %q", g)
+		} else if g != "cert_max_step_tests" && v != 0 {
+			t.Errorf("quiescent %s = %d, want 0", g, v)
+		}
+	}
+	if st := db.Stats(); st.CertValidated != 3 || st.CertRejected != 0 {
+		t.Errorf("stats: %+v", st)
+	}
+}
+
 // TestTraceReconciliation drives the traced hotspot-counter × n2pl-op
 // cell and checks the flight recorder's core invariant: the exclusive
 // phases partition each attempt's wall time, so their summed totals must
