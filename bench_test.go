@@ -504,6 +504,27 @@ func BenchmarkBTree(b *testing.B) {
 			}
 		})
 	})
+	// Copy-on-write versions: Clone must not grow with the tree, and the
+	// first write after it pays one path copy (run with -benchmem).
+	for _, keys := range []int{128, 100000} {
+		b.Run(fmt.Sprintf("clone/keys=%d", keys), func(b *testing.B) {
+			tr := newBenchTree(keys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Clone()
+			}
+		})
+		b.Run(fmt.Sprintf("insert-after-clone/keys=%d", keys), func(b *testing.B) {
+			tr := newBenchTree(keys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Clone()
+				tr.Insert(int64(i%keys), int64(i))
+			}
+		})
+	}
 }
 
 func newBenchTree(preload int) *btree.Tree {

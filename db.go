@@ -847,6 +847,21 @@ func (db *DB) buildRegistry() {
 		reg.Gauge("dep_tracked_touches", "Uncommitted writes the dependency tracker currently holds.", func() int64 { n, _ := db.eng.DepStats(); return int64(n) })
 		reg.Gauge("dep_tracked_txns", "Transactions registered with the dependency tracker.", func() int64 { _, n := db.eng.DepStats(); return int64(n) })
 	}
+	if db.eng.Versioning() {
+		// Version-ring health, registry only: a high gap share means most
+		// publications capture nothing and views fall back.
+		perEngine := func(name, help string, fn func(*engine.Engine) int64) {
+			reg.Counter(name, help, func() (n int64) {
+				for _, en := range db.engines {
+					n += fn(en)
+				}
+				return n
+			})
+		}
+		perEngine("versions_published", "Committed object versions captured into a version ring.", (*engine.Engine).VersionsPublished)
+		perEngine("version_gaps", "Publications that left a gap instead of a version (overlapping writers).", (*engine.Engine).VersionGaps)
+		perEngine("version_repairs", "Gaps replaced by the clean state once the overlapping writer undid.", (*engine.Engine).VersionRepairs)
+	}
 	if db.tr != nil {
 		tr := db.tr
 		reg.Gauge("trace_dropped_spans", "Flight-recorder spans overwritten before being drained.", func() int64 { return int64(tr.Dropped()) })

@@ -7,8 +7,8 @@
 // Ellis, Kung & Lehman, Lehman & Yao, Samadi, and others).
 //
 // The tree is a B+ tree: separator keys in internal nodes, key/value pairs
-// and a next-pointer chain in the leaves. Concurrency control is pessimistic
-// lock coupling with preemptive splitting (Bayer & Schkolnick's scheme):
+// in the leaves. Concurrency control is pessimistic lock coupling with
+// preemptive splitting (Bayer & Schkolnick's scheme):
 //
 //   - readers crab down with shared node locks, holding at most two at a
 //     time;
@@ -25,13 +25,42 @@
 // intra-object concurrency in the paper's decomposition — while logical
 // conflicts between transactions are handled by whichever scheduler the
 // object base runs.
+//
+// # Copy-on-write versions
+//
+// Clone is O(1): the two trees share every node. Each node carries the
+// owner token of the tree that created it and a tree writes only nodes
+// carrying its current token. Clone retires the receiver's token — both
+// trees get fresh ones — so every node reachable at that moment is owned
+// by no tree and is never written again; a write descent replaces each
+// node it does not own by a private copy, installed in the parent it has
+// already copied and locked, before touching it. A version therefore
+// costs one root-to-leaf path copy (three allocations per level) on the
+// next write to either side, not a rebuild, and a tree that is cloned and
+// then left alone — a published snapshot — stays frozen without a mode
+// flag. An owned node may point at shared ones, never the reverse.
+//
+// Clone's contract is "no concurrent writer on the receiver" (readers
+// are fine): a writer mid-descent would keep writing nodes the clone can
+// reach. The object base runs every write and every Clone of a live tree
+// under the object latch, and only reads the clones.
+//
+// Leaves are not chained: a path copy replaces a leaf, and a next
+// pointer in its left neighbour would either keep naming the old leaf or
+// force copying the neighbour, and its neighbour, and so on. Scan
+// re-descends from the root for each leaf instead, steering by the
+// separator that bounded the previous one, so it holds at most two locks
+// like every other operation. Len is a per-tree counter kept by Insert
+// and Delete; it visits no node.
 package btree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Value is the tree's value type.
@@ -48,18 +77,26 @@ type Tree struct {
 	// lock; swapping the root requires this outer lock).
 	rootMu sync.RWMutex
 	root   *node
+	// owner is the token of the nodes this tree may write in place;
+	// Clone replaces it. Guarded by rootMu.
+	owner uint64
+	// n is the number of stored pairs.
+	n atomic.Int64
 }
 
+// owners issues owner tokens; a token is never reused.
+var owners atomic.Uint64
+
 type node struct {
-	mu   sync.RWMutex
-	leaf bool
-	keys []int64
+	mu sync.RWMutex
+	// owner is the token of the tree that created the node; immutable.
+	owner uint64
+	leaf  bool
+	keys  []int64
 	// vals is parallel to keys in leaves.
 	vals []Value
 	// children is parallel to keys+1 in internal nodes.
 	children []*node
-	// next chains leaves for scans.
-	next *node
 }
 
 // New returns an empty tree of the given order (minimum 3; 0 selects
@@ -71,7 +108,33 @@ func New(order int) *Tree {
 	if order < 3 {
 		order = 3
 	}
-	return &Tree{order: order, root: &node{leaf: true}}
+	own := owners.Add(1)
+	return &Tree{order: order, owner: own, root: &node{owner: own, leaf: true}}
+}
+
+// ownedBy returns n itself if own created it, else a copy own may write.
+// A node with another owner is shared and immutable, so it is read
+// unlocked; the copy is sized to hold a full node without regrowing.
+func (n *node) ownedBy(own uint64, order int) *node {
+	if n.owner == own {
+		return n
+	}
+	c := &node{owner: own, leaf: n.leaf, keys: append(make([]int64, 0, order-1), n.keys...)}
+	if n.leaf {
+		c.vals = append(make([]Value, 0, order-1), n.vals...)
+	} else {
+		c.children = append(make([]*node, 0, order), n.children...)
+	}
+	return c
+}
+
+// lockChild returns parent's idx-th child exclusively locked, replacing a
+// shared child by an owned copy first. parent is owned and locked.
+func (n *node) lockChild(idx int, own uint64, order int) *node {
+	child := n.children[idx].ownedBy(own, order)
+	n.children[idx] = child
+	child.mu.Lock()
+	return child
 }
 
 func (n *node) full(order int) bool {
@@ -92,16 +155,7 @@ func (n *node) leafIndex(k int64) (int, bool) {
 
 // Lookup returns the value stored under k, or (nil, false).
 func (t *Tree) Lookup(k int64) (Value, bool) {
-	t.rootMu.RLock()
-	cur := t.root
-	cur.mu.RLock()
-	t.rootMu.RUnlock()
-	for !cur.leaf {
-		child := cur.children[cur.childIndex(k)]
-		child.mu.RLock()
-		cur.mu.RUnlock()
-		cur = child
-	}
+	cur, _, _ := t.rlockLeaf(k)
 	defer cur.mu.RUnlock()
 	if i, ok := cur.leafIndex(k); ok {
 		return cur.vals[i], true
@@ -109,18 +163,39 @@ func (t *Tree) Lookup(k int64) (Value, bool) {
 	return nil, false
 }
 
+// rlockLeaf crabs down with shared locks to the leaf whose range holds k
+// and returns it read-locked, together with the range's upper bound: the
+// tightest separator above k on the path, if there is one. Every key of
+// the leaf is below the bound and every key of the leaves after it is not.
+func (t *Tree) rlockLeaf(k int64) (leaf *node, bound int64, bounded bool) {
+	t.rootMu.RLock()
+	cur := t.root
+	cur.mu.RLock()
+	t.rootMu.RUnlock()
+	for !cur.leaf {
+		idx := cur.childIndex(k)
+		if idx < len(cur.keys) {
+			bound, bounded = cur.keys[idx], true
+		}
+		child := cur.children[idx]
+		child.mu.RLock()
+		cur.mu.RUnlock()
+		cur = child
+	}
+	return cur, bound, bounded
+}
+
 // Insert stores v under k, returning the previous value and whether one
 // existed.
 func (t *Tree) Insert(k int64, v Value) (Value, bool) {
-	cur := t.lockRootForWrite()
+	cur, own := t.lockRootForWrite(true)
 	for !cur.leaf {
 		idx := cur.childIndex(k)
-		child := cur.children[idx]
-		child.mu.Lock()
+		child := cur.lockChild(idx, own, t.order)
 		if child.full(t.order) {
 			// Preemptive split: cur is never full here (splitting on the
 			// way down maintains the invariant), so the separator fits.
-			left, right, sep := t.splitChild(cur, idx, child)
+			left, right, sep := splitChild(cur, idx, child)
 			// Descend into the correct half; unlock the other.
 			if k < sep {
 				right.mu.Unlock()
@@ -146,26 +221,31 @@ func (t *Tree) Insert(k int64, v Value) (Value, bool) {
 	copy(cur.vals[i+1:], cur.vals[i:])
 	cur.keys[i] = k
 	cur.vals[i] = v
+	t.n.Add(1)
 	return nil, false
 }
 
-// lockRootForWrite returns the locked root, splitting a full root first so
-// the descent invariant ("current node is not full") holds.
-func (t *Tree) lockRootForWrite() *node {
+// lockRootForWrite returns the root, owned and exclusively locked, with
+// the owner token the rest of the descent copies for. With grow it splits
+// a full root first so the insert descent's invariant ("current node is
+// not full") holds.
+func (t *Tree) lockRootForWrite(grow bool) (*node, uint64) {
 	for {
 		t.rootMu.Lock()
-		r := t.root
+		own := t.owner
+		r := t.root.ownedBy(own, t.order)
+		t.root = r
 		r.mu.Lock()
-		if !r.full(t.order) {
+		if !grow || !r.full(t.order) {
 			t.rootMu.Unlock()
-			return r
+			return r, own
 		}
 		// Grow the tree: new root above the split halves.
-		newRoot := &node{leaf: false, children: []*node{r}}
+		newRoot := &node{owner: own, children: []*node{r}}
 		newRoot.mu.Lock()
 		t.root = newRoot
 		t.rootMu.Unlock()
-		_, _, _ = t.splitChild(newRoot, 0, r)
+		splitChild(newRoot, 0, r)
 		// Both halves stay locked by splitChild; unlock them — the next
 		// iteration re-descends from the new root.
 		newRoot.children[0].mu.Unlock()
@@ -174,13 +254,13 @@ func (t *Tree) lockRootForWrite() *node {
 	}
 }
 
-// splitChild splits the full child at index idx of parent (both locked
-// exclusively). It returns the two halves — both locked — and the separator
-// key inserted into the parent.
-func (t *Tree) splitChild(parent *node, idx int, child *node) (*node, *node, int64) {
+// splitChild splits the full child at index idx of parent (both owned and
+// locked exclusively). It returns the two halves — both locked — and the
+// separator key inserted into the parent.
+func splitChild(parent *node, idx int, child *node) (*node, *node, int64) {
 	mid := len(child.keys) / 2
 	var sep int64
-	right := &node{leaf: child.leaf}
+	right := &node{owner: child.owner, leaf: child.leaf}
 	right.mu.Lock()
 	if child.leaf {
 		sep = child.keys[mid]
@@ -188,8 +268,6 @@ func (t *Tree) splitChild(parent *node, idx int, child *node) (*node, *node, int
 		right.vals = append(right.vals, child.vals[mid:]...)
 		child.keys = child.keys[:mid:mid]
 		child.vals = child.vals[:mid:mid]
-		right.next = child.next
-		child.next = right
 	} else {
 		sep = child.keys[mid]
 		right.keys = append(right.keys, child.keys[mid+1:]...)
@@ -211,13 +289,9 @@ func (t *Tree) splitChild(parent *node, idx int, child *node) (*node, *node, int
 // Deletion is lazy: leaves may underfill; the search structure remains
 // valid.
 func (t *Tree) Delete(k int64) (Value, bool) {
-	t.rootMu.RLock()
-	cur := t.root
-	cur.mu.Lock()
-	t.rootMu.RUnlock()
+	cur, own := t.lockRootForWrite(false)
 	for !cur.leaf {
-		child := cur.children[cur.childIndex(k)]
-		child.mu.Lock()
+		child := cur.lockChild(cur.childIndex(k), own, t.order)
 		cur.mu.Unlock()
 		cur = child
 	}
@@ -229,51 +303,36 @@ func (t *Tree) Delete(k int64) (Value, bool) {
 	old := cur.vals[i]
 	cur.keys = append(cur.keys[:i], cur.keys[i+1:]...)
 	cur.vals = append(cur.vals[:i], cur.vals[i+1:]...)
+	t.n.Add(-1)
 	return old, true
 }
 
-// Len counts the stored pairs by walking the leaf chain with lock
-// coupling.
-func (t *Tree) Len() int {
-	n := 0
-	t.Scan(func(int64, Value) bool { n++; return true })
-	return n
-}
+// Len returns the number of stored pairs in O(1), visiting no node.
+func (t *Tree) Len() int { return int(t.n.Load()) }
 
-// Scan visits pairs in ascending key order until fn returns false,
-// lock-coupling along the leaf chain. Concurrent writers may or may not be
-// observed (the scan is not a snapshot); transaction-level consistency is
-// the scheduler's business.
+// Scan visits pairs in ascending key order until fn returns false, one
+// lock-coupled descent per leaf: the separator bounding a leaf from above
+// is where the next leaf's range starts. Concurrent writers may or may not
+// be observed (the scan is not a snapshot); transaction-level consistency
+// is the scheduler's business.
 func (t *Tree) Scan(fn func(k int64, v Value) bool) {
-	t.rootMu.RLock()
-	cur := t.root
-	cur.mu.RLock()
-	t.rootMu.RUnlock()
-	for !cur.leaf {
-		child := cur.children[0]
-		child.mu.RLock()
-		cur.mu.RUnlock()
-		cur = child
-	}
-	for {
-		for i := range cur.keys {
-			if !fn(cur.keys[i], cur.vals[i]) {
-				cur.mu.RUnlock()
-				return
+	from, more := int64(math.MinInt64), true
+	for more {
+		var leaf *node
+		leaf, from, more = t.rlockLeaf(from)
+		// Separators are never removed (no merging), so the leaf's range
+		// starts exactly at from: none of its keys was visited before.
+		for i := range leaf.keys {
+			if !fn(leaf.keys[i], leaf.vals[i]) {
+				more = false
+				break
 			}
 		}
-		nxt := cur.next
-		if nxt == nil {
-			cur.mu.RUnlock()
-			return
-		}
-		nxt.mu.RLock()
-		cur.mu.RUnlock()
-		cur = nxt
+		leaf.mu.RUnlock()
 	}
 }
 
-// Export returns the contents as a sorted slice of pairs (tests, cloning).
+// Export returns the contents as a sorted slice of pairs (tests, Equal).
 func (t *Tree) Export() ([]int64, []Value) {
 	var ks []int64
 	var vs []Value
@@ -285,13 +344,17 @@ func (t *Tree) Export() ([]int64, []Value) {
 	return ks, vs
 }
 
-// Clone returns a deep copy (quiescent tree).
+// Clone returns a tree with the receiver's contents in O(1): the two share
+// every node, and each copies a node before its first write to it (see
+// the package comment). No writer may run on the receiver during the
+// call; readers may, on both trees, then and afterwards.
 func (t *Tree) Clone() *Tree {
-	out := New(t.order)
-	ks, vs := t.Export()
-	for i := range ks {
-		out.Insert(ks[i], vs[i])
-	}
+	t.rootMu.Lock()
+	defer t.rootMu.Unlock()
+	// Fresh tokens for both: the nodes reachable now belong to neither.
+	out := &Tree{order: t.order, root: t.root, owner: owners.Add(2)}
+	t.owner = out.owner - 1
+	out.n.Store(t.n.Load())
 	return out
 }
 
@@ -313,10 +376,11 @@ func (t *Tree) Equal(u *Tree) bool {
 
 // CheckInvariants verifies structural invariants on a quiescent tree:
 // sorted keys, separator bounds, uniform leaf depth, node fan-out limits
-// (leaves may underfill due to lazy deletion, but never overfill). It
+// (leaves may underfill due to lazy deletion, but never overfill), no
+// owned node below a shared one, Len equal to the number of pairs. It
 // returns the first violation.
 func (t *Tree) CheckInvariants() error {
-	depth := -1
+	depth, pairs := -1, 0
 	var walk func(n *node, level int, lo, hi *int64) error
 	walk = func(n *node, level int, lo, hi *int64) error {
 		if len(n.keys) > t.order-1 {
@@ -339,6 +403,7 @@ func (t *Tree) CheckInvariants() error {
 			if len(n.keys) != len(n.vals) {
 				return fmt.Errorf("btree: leaf keys/vals mismatch")
 			}
+			pairs += len(n.keys)
 			if depth == -1 {
 				depth = level
 			} else if depth != level {
@@ -350,6 +415,9 @@ func (t *Tree) CheckInvariants() error {
 			return fmt.Errorf("btree: internal node with %d keys, %d children", len(n.keys), len(n.children))
 		}
 		for i, c := range n.children {
+			if c.owner == t.owner && n.owner != t.owner {
+				return fmt.Errorf("btree: owned node below a shared one")
+			}
 			var nlo, nhi *int64
 			if i > 0 {
 				nlo = &n.keys[i-1]
@@ -367,7 +435,13 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return nil
 	}
-	return walk(t.root, 0, nil, nil)
+	if err := walk(t.root, 0, nil, nil); err != nil {
+		return err
+	}
+	if pairs != t.Len() {
+		return fmt.Errorf("btree: Len %d, %d pairs stored", t.Len(), pairs)
+	}
+	return nil
 }
 
 // String renders the contents (small trees, debugging).

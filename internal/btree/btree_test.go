@@ -140,8 +140,12 @@ func TestAgainstMapOracle(t *testing.T) {
 // TestConcurrentDisjointWriters: goroutines write disjoint key ranges with
 // concurrent readers; the final contents must be exactly the union, and
 // invariants must hold. Run with -race.
-func TestConcurrentDisjointWriters(t *testing.T) {
-	tr := New(6)
+func TestConcurrentDisjointWriters(t *testing.T) { concurrentDisjointWriters(t, New(6)) }
+
+// concurrentDisjointWriters runs the hammer on tr, which holds no key the
+// writers use (any it holds already must survive untouched).
+func concurrentDisjointWriters(t *testing.T, tr *Tree) {
+	resident := tr.Len()
 	const writers = 8
 	const perWriter = 400
 	var wg sync.WaitGroup
@@ -190,7 +194,7 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	want := writers * (perWriter - perWriter/4)
+	want := resident + writers*(perWriter-perWriter/4)
 	if got := tr.Len(); got != want {
 		t.Fatalf("len = %d, want %d", got, want)
 	}
@@ -214,8 +218,9 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 // TestConcurrentOverlappingMix hammers the same key space from many
 // goroutines; we only assert crash/race freedom and invariants (values are
 // nondeterministic).
-func TestConcurrentOverlappingMix(t *testing.T) {
-	tr := New(4)
+func TestConcurrentOverlappingMix(t *testing.T) { concurrentOverlappingMix(t, New(4)) }
+
+func concurrentOverlappingMix(t *testing.T, tr *Tree) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -108,6 +108,12 @@ type Engine struct {
 	twopcRestarts  atomic.Int64
 	epochCommits   atomic.Int64
 	epochFlushes   atomic.Int64
+	// Version-ring health (Options.Versioning): publications that
+	// captured a state, publications that left a gap instead, and gaps
+	// an undo later repaired. Bumped under the publishing object's latch.
+	versPublished atomic.Int64
+	versGaps      atomic.Int64
+	versRepairs   atomic.Int64
 }
 
 // New creates an engine running the given scheduler.

@@ -176,7 +176,7 @@ type epochPub struct {
 }
 
 func (p *epochPub) add(e *Exec) {
-	key := e.id.Key()
+	key := e.topKey()
 	for _, o := range e.touchedObjects() {
 		if p.idx == nil {
 			p.idx = make(map[*Object]int, 8)

@@ -63,6 +63,13 @@ type Exec struct {
 	// crossState map.
 	recIn atomic.Pointer[Engine]
 
+	// key caches id.Key() of a top-level execution: under versioning the
+	// formatted id is the pending-writer mark of every mutating step, the
+	// publication's and every undo's, and formatting it allocates. Guarded
+	// by mu (a sync.Once would push Exec into the next allocation size
+	// class, on every path); read it through topKey.
+	key string
+
 	// goctx is the caller's context.Context; set on top-level executions
 	// only (descendants reach it through top).
 	goctx context.Context
@@ -97,6 +104,19 @@ func (e *Exec) Parent() *Exec { return e.parent }
 
 // Top returns the top-level ancestor.
 func (e *Exec) Top() *Exec { return e.top }
+
+// topKey returns the formatted id of e's top-level transaction, formatted
+// at most once per attempt (parallel lanes may race for the first use).
+func (e *Exec) topKey() string {
+	t := e.top
+	t.mu.Lock()
+	if t.key == "" {
+		t.key = t.id.Key()
+	}
+	key := t.key
+	t.mu.Unlock()
+	return key
+}
 
 // nextChildID allocates the identity of e's next child execution: the
 // message indices of one parent are assigned in send order.
@@ -151,7 +171,10 @@ func (e *Exec) runUndo() {
 	entries := e.undo
 	e.undo = nil
 	e.mu.Unlock()
-	topKey := e.top.id.Key()
+	if len(entries) == 0 {
+		return
+	}
+	topKey := e.topKey()
 	for i := len(entries) - 1; i >= 0; i-- {
 		entries[i].obj.applyUndo(topKey, entries[i].fn)
 	}

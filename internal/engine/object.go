@@ -113,7 +113,7 @@ func (o *Object) ApplyForLocked(e *Exec, inv core.OpInvocation) (core.StepInfo, 
 	o.seq++
 	if undo != nil {
 		if o.pending != nil {
-			o.pending[e.top.id.Key()]++
+			o.pending[e.topKey()]++
 		}
 		e.pushUndo(o, undo)
 	}
@@ -162,6 +162,7 @@ func (o *Object) applyUndo(topKey string, fn core.UndoFunc) {
 					// sequence number covers (later committers would have
 					// published above it), so the repair carries that seq.
 					o.vers.Store(ring.Repair(o.seq, o.schema.Clone(o.state)))
+					o.eng.versRepairs.Add(1)
 				}
 			}
 		} else {
@@ -204,10 +205,13 @@ func (o *Object) publishVersion(topKey string, batchKeys []string, seq uint64) {
 	switch {
 	case ring.Newest().Seq > seq:
 		o.vers.Store(ring.InsertGap(seq))
+		o.eng.versGaps.Add(1)
 	case len(o.pending) > 0:
 		o.vers.Store(ring.PushGap(seq))
+		o.eng.versGaps.Add(1)
 	default:
 		o.vers.Store(ring.Push(seq, o.seq, o.schema.Clone(o.state)))
+		o.eng.versPublished.Add(1)
 	}
 	ordRelease(ordRankObject, "object latch")
 	o.mu.Unlock()

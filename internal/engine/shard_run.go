@@ -961,7 +961,7 @@ func publishCommitSharded(e *Exec) {
 	for _, o := range objs {
 		byEng[o.eng] = append(byEng[o.eng], o)
 	}
-	topKey := e.id.Key()
+	topKey := e.topKey()
 	for en, list := range byEng {
 		en.publishObjects(topKey, list, nil)
 	}

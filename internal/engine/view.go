@@ -264,7 +264,7 @@ func (en *Engine) publishCommit(e *Exec) {
 	if len(objs) == 0 {
 		return
 	}
-	en.publishObjects(e.id.Key(), objs, nil)
+	en.publishObjects(e.topKey(), objs, nil)
 }
 
 // publishObjects sequences and captures the given committed objects under
@@ -325,6 +325,20 @@ func (en *Engine) ViewCommits() int64 { return en.viewCommits.Load() }
 // ViewFallbacks returns the number of view transactions that could not
 // resolve a snapshot and fell back to the locked read-only path.
 func (en *Engine) ViewFallbacks() int64 { return en.viewFallbacks.Load() }
+
+// VersionsPublished returns the number of publications that captured a
+// committed object state into a version ring.
+func (en *Engine) VersionsPublished() int64 { return en.versPublished.Load() }
+
+// VersionGaps returns the number of publications that left a gap instead
+// (another writer's uncommitted effects were in the state, or a later
+// commit had already published); views landing on one refresh or fall
+// back.
+func (en *Engine) VersionGaps() int64 { return en.versGaps.Load() }
+
+// VersionRepairs returns the number of gaps an undo replaced with the
+// clean committed state once the overlapping writer had drained.
+func (en *Engine) VersionRepairs() int64 { return en.versRepairs.Load() }
 
 // Versioning reports whether the engine maintains committed object
 // versions (Options.Versioning), i.e. whether RunView is available.

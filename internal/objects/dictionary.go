@@ -20,10 +20,15 @@ import (
 //	Delete(miss)/Delete(miss)      commute
 //	anything involving an effectful Insert/Delete on the same key conflicts
 //
-// The state holds the tree under the "tree" variable; CloneState and
-// StateEqual deep-copy/compare contents, and Operation.Peek computes
-// return values without cloning (a Lookup suffices), keeping
-// provisional-execution schedulers cheap on large dictionaries.
+// The state holds the tree under the "tree" variable. CloneState is O(1):
+// the tree is copy-on-write, the clone shares every node with the
+// original, and whichever side is written next copies the one path it
+// changes — so publishing a committed version of a dictionary (snapshot
+// views) costs the same whatever it holds. The engine clones and writes
+// the live state under the object latch only, which is the "no concurrent
+// writer" contract btree.Tree.Clone asks for; clones are only read.
+// StateEqual compares contents, and Operation.Peek computes return values
+// without cloning at all (a Lookup suffices).
 func Dictionary() *core.Schema {
 	treeOf := func(s core.State) *btree.Tree {
 		t, _ := s["tree"].(*btree.Tree)

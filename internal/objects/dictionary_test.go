@@ -112,6 +112,77 @@ func TestDictionaryCloneEqual(t *testing.T) {
 	}
 }
 
+// TestCloneDictionaryVersions: the schema's Clone is what publishes a
+// committed version of the dictionary, so it must cost the same whatever
+// the dictionary holds, and a version must stay exactly what it was
+// while the live state goes on being written, undone and cloned.
+func TestCloneDictionaryVersions(t *testing.T) {
+	sc := Dictionary()
+	apply := func(s core.State, op string, args ...core.Value) (core.Value, core.UndoFunc) {
+		t.Helper()
+		ret, undo, err := sc.MustOp(op).Apply(s, args)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		return ret, undo
+	}
+	var cost [2]float64
+	for i, keys := range []int64{128, 16384} {
+		s := sc.NewState()
+		for k := int64(0); k < keys; k++ {
+			apply(s, "Insert", k, k)
+		}
+		var sink core.State
+		cost[i] = testing.AllocsPerRun(100, func() { sink = sc.Clone(s) })
+		_ = sink
+	}
+	if cost[0] != cost[1] || cost[0] > 4 {
+		t.Errorf("Clone allocates %v at 128 keys and %v at 16384, want equal and <= 4", cost[0], cost[1])
+	}
+
+	// The same seeded stream of writes, one in four undone again (an
+	// aborting writer), drives the live state and, afterwards, a replay.
+	const steps = 400
+	stream := func(s core.State) func(i int64) {
+		r := rand.New(rand.NewSource(3))
+		return func(i int64) {
+			k := int64(r.Intn(64))
+			var undo core.UndoFunc
+			if r.Intn(3) == 0 {
+				_, undo = apply(s, "Delete", k)
+			} else {
+				_, undo = apply(s, "Insert", k, i)
+			}
+			if undo != nil && r.Intn(4) == 0 {
+				undo(s)
+			}
+		}
+	}
+	live := sc.NewState()
+	write := stream(live)
+	var versions []core.State
+	var lens []core.Value
+	for i := int64(0); i < steps; i++ {
+		write(i)
+		n, _ := apply(live, "Len")
+		versions = append(versions, sc.Clone(live))
+		lens = append(lens, n)
+	}
+	// The replay reproduces every version: none was touched by the writes
+	// that followed it.
+	replay := sc.NewState()
+	write = stream(replay)
+	for i := int64(0); i < steps; i++ {
+		write(i)
+		if !sc.EqualStates(versions[i], replay) {
+			t.Fatalf("version %d changed after it was cloned", i)
+		}
+		if n, _ := apply(versions[i], "Len"); n != lens[i] {
+			t.Fatalf("version %d: Len = %v, was %v when cloned", i, n, lens[i])
+		}
+	}
+}
+
 func TestDictionaryConflictRelation(t *testing.T) {
 	rel := Dictionary().Conflicts
 	insA := core.OpInvocation{Op: "Insert", Args: []core.Value{int64(1), "v"}}

@@ -9,6 +9,7 @@ package objectbase_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -469,4 +470,72 @@ func TestTracingEnvOptIn(t *testing.T) {
 	if !db.Tracing() {
 		t.Fatal("OBJECTBASE_TRACE=1 should enable the flight recorder")
 	}
+}
+
+// TestVersionRingCounters: a WithReadOnly DB reports its version rings'
+// health in the registry — versions captured, publications that left a
+// gap because another writer's uncommitted effects were in the state, and
+// gaps repaired once that writer undid — and a DB without versions
+// exports none of the three.
+func TestVersionRingCounters(t *testing.T) {
+	names := []string{"versions_published", "version_gaps", "version_repairs"}
+	plain, err := objectbase.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if _, ok := plain.Metrics().Counters[n]; ok {
+			t.Errorf("DB without WithReadOnly exports %q", n)
+		}
+	}
+	db, err := objectbase.Open(objectbase.WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterObject("c", objectbase.Counter(), nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	add := func(x *objectbase.Ctx) (objectbase.Value, error) { return x.Do("c", "Add", int64(1)) }
+	check := func(when string, published, gaps, repairs int64) {
+		t.Helper()
+		got := db.Metrics().Counters
+		for i, want := range []int64{published, gaps, repairs} {
+			if got[names[i]] != want {
+				t.Errorf("%s: %s = %d, want %d", when, names[i], got[names[i]], want)
+			}
+		}
+	}
+	if _, err := db.Exec(ctx, "solo", add); err != nil {
+		t.Fatal(err)
+	}
+	check("one clean commit", 1, 0, 0)
+
+	// Adds commute, so a second writer commits while the first still holds
+	// an uncommitted Add in the state: its publication must be a gap. The
+	// first then aborts, and its undo repairs the gap.
+	inside, release := make(chan struct{}), make(chan struct{})
+	errAbort := errors.New("deliberate abort")
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.Exec(ctx, "slow", func(x *objectbase.Ctx) (objectbase.Value, error) {
+			if _, err := add(x); err != nil {
+				return nil, err
+			}
+			close(inside)
+			<-release
+			return nil, errAbort
+		})
+		done <- err
+	}()
+	<-inside
+	if _, err := db.Exec(ctx, "overlapping", add); err != nil {
+		t.Fatal(err)
+	}
+	check("commit over an uncommitted writer", 1, 1, 0)
+	close(release)
+	if err := <-done; !errors.Is(err, errAbort) {
+		t.Fatalf("slow writer: %v", err)
+	}
+	check("after the writer undid", 1, 1, 1)
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -355,5 +356,45 @@ func TestViewStatsSub(t *testing.T) {
 	d := db.Stats().Sub(base)
 	if d.ViewCommits != 1 || d.Commits != 1 {
 		t.Fatalf("delta = %+v, want ViewCommits=1 Commits=1", d)
+	}
+}
+
+// TestViewPublicationCostFlat: publishing a version of the dictionary no
+// longer rebuilds its tree, so what one committed write costs under
+// WithReadOnly — a path copy and an O(1) clone — grows with the tree's
+// height, not its size: allocations and bytes of a write to a 16 384-key
+// dictionary stay within 2× of a 128-key one (the deep clone made it
+// ~100×).
+func TestViewPublicationCostFlat(t *testing.T) {
+	cost := func(keys int64) (allocs, bytes float64) {
+		db, err := objectbase.Open(objectbase.WithReadOnly(), objectbase.WithHistory(objectbase.HistoryOff))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.RegisterObject("d", objectbase.Dictionary(), nil); err != nil {
+			t.Fatal(err)
+		}
+		write := func(k int64) {
+			if _, err := db.Exec(bg(), "w", func(ctx *objectbase.Ctx) (objectbase.Value, error) {
+				return ctx.Do("d", "Insert", k, k)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := int64(0); k < keys; k++ {
+			write(k)
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() { write(keys / 2) })
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	}
+	smallAllocs, smallBytes := cost(128)
+	bigAllocs, bigBytes := cost(16384)
+	if bigAllocs >= 2*smallAllocs || bigBytes >= 2*smallBytes {
+		t.Errorf("one committed write: %v allocs / %.0f B at 128 keys, %v allocs / %.0f B at 16384 — want < 2× apart",
+			smallAllocs, smallBytes, bigAllocs, bigBytes)
 	}
 }
