@@ -8,10 +8,13 @@
 //
 // The tree is a B+ tree: separator keys in internal nodes, key/value pairs
 // in the leaves. Concurrency control is pessimistic lock coupling with
-// preemptive splitting (Bayer & Schkolnick's scheme):
+// preemptive splitting (Bayer & Schkolnick's scheme) on the nodes the tree
+// owns (see Copy-on-write versions below); nodes it does not own are
+// immutable and need no synchronisation at all:
 //
-//   - readers crab down with shared node locks, holding at most two at a
-//     time;
+//   - readers crab down owned nodes with shared node locks, holding at most
+//     two at a time, and stop locking at the first node the tree does not
+//     own — it is frozen, and so is everything below it;
 //   - writers crab down with exclusive locks, splitting any full node
 //     encountered on the way; because parents are split preemptively, a
 //     split never propagates upward and at most two exclusive locks are
@@ -42,8 +45,34 @@
 //
 // Clone's contract is "no concurrent writer on the receiver" (readers
 // are fine): a writer mid-descent would keep writing nodes the clone can
-// reach. The object base runs every write and every Clone of a live tree
-// under the object latch, and only reads the clones.
+// reach. Every write to the receiver must happen before the Clone and
+// every later one after it; the object base runs every write and every
+// Clone of a live tree under the object latch, and only reads the clones.
+//
+// # Unlocked reads of frozen nodes
+//
+// A node whose owner token is not its tree's current token is frozen: the
+// token was retired by a Clone, no tree will ever write the node again,
+// and every node below it is frozen too. A read descent therefore locks
+// nothing from the first such node down. A published snapshot — a clone
+// nobody writes — has a frozen root, so a read of it is two atomic loads
+// (root, then owner) plus plain reads of immutable nodes: two readers of
+// one version write no shared memory.
+//
+// The order of the two loads is what makes this sound. Root and owner are
+// written under rootMu and read atomically, root first. A root installed
+// by a write carries the token current at that moment, so if the loaded
+// root's token differs from the loaded owner, that token was retired by
+// a Clone the owner load observed (or before the root was installed, as
+// for a clone's own root): the node is frozen. And because that Clone ran
+// after every write to the node, the atomic owner load orders the reader
+// after those writes: the unlocked field reads race with nothing. Loading owner first
+// would be unsound: a Clone and a path-copying write could slip in
+// between, and the reader would take the writer's fresh, still-changing
+// root for a frozen one. A reader that finds the root owned takes rootMu
+// and crabs down as before; a child it reads under its parent's lock
+// whose token is not the one read under rootMu was frozen before the
+// parent linked it, so the descent drops its locks there.
 //
 // Leaves are not chained: a path copy replaces a leaf, and a next
 // pointer in its left neighbour would either keep naming the old leaf or
@@ -73,13 +102,15 @@ const DefaultOrder = 8
 // Tree is a concurrent B+ tree keyed by int64.
 type Tree struct {
 	order int
-	// rootMu guards the root pointer (the root node itself has its own
-	// lock; swapping the root requires this outer lock).
+	// rootMu serialises writes of root and owner (the root node itself has
+	// its own lock; swapping the root requires this outer lock). Both are
+	// read atomically, root first, so a reader of a frozen root takes no
+	// lock (see the package comment).
 	rootMu sync.RWMutex
-	root   *node
+	root   atomic.Pointer[node]
 	// owner is the token of the nodes this tree may write in place;
-	// Clone replaces it. Guarded by rootMu.
-	owner uint64
+	// Clone replaces it.
+	owner atomic.Uint64
 	// n is the number of stored pairs.
 	n atomic.Int64
 }
@@ -109,7 +140,10 @@ func New(order int) *Tree {
 		order = 3
 	}
 	own := owners.Add(1)
-	return &Tree{order: order, owner: own, root: &node{owner: own, leaf: true}}
+	t := &Tree{order: order}
+	t.owner.Store(own)
+	t.root.Store(&node{owner: own, leaf: true})
+	return t
 }
 
 // ownedBy returns n itself if own created it, else a copy own may write.
@@ -154,35 +188,51 @@ func (n *node) leafIndex(k int64) (int, bool) {
 }
 
 // Lookup returns the value stored under k, or (nil, false).
-func (t *Tree) Lookup(k int64) (Value, bool) {
-	cur, _, _ := t.rlockLeaf(k)
-	defer cur.mu.RUnlock()
-	if i, ok := cur.leafIndex(k); ok {
-		return cur.vals[i], true
+func (t *Tree) Lookup(k int64) (v Value, found bool) {
+	leaf, _, _, locked := t.findLeaf(k)
+	if i, ok := leaf.leafIndex(k); ok {
+		v, found = leaf.vals[i], true
 	}
-	return nil, false
+	if locked {
+		leaf.mu.RUnlock()
+	}
+	return v, found
 }
 
-// rlockLeaf crabs down with shared locks to the leaf whose range holds k
-// and returns it read-locked, together with the range's upper bound: the
-// tightest separator above k on the path, if there is one. Every key of
-// the leaf is below the bound and every key of the leaves after it is not.
-func (t *Tree) rlockLeaf(k int64) (leaf *node, bound int64, bounded bool) {
-	t.rootMu.RLock()
-	cur := t.root
-	cur.mu.RLock()
-	t.rootMu.RUnlock()
+// findLeaf descends to the leaf whose range holds k and returns it,
+// together with the range's upper bound: the tightest separator above k
+// on the path, if there is one. Every key of the leaf is below the bound
+// and every key of the leaves after it is not. Owned nodes are crabbed
+// with shared locks; from the first frozen node down nothing is locked
+// (see the package comment). locked reports whether the leaf is returned
+// read-locked.
+func (t *Tree) findLeaf(k int64) (leaf *node, bound int64, bounded, locked bool) {
+	cur := t.root.Load()
+	own := t.owner.Load() // after root: the package comment says why
+	if cur.owner == own {
+		t.rootMu.RLock()
+		cur, own = t.root.Load(), t.owner.Load()
+		if locked = cur.owner == own; locked {
+			cur.mu.RLock()
+		}
+		t.rootMu.RUnlock()
+	}
 	for !cur.leaf {
 		idx := cur.childIndex(k)
 		if idx < len(cur.keys) {
 			bound, bounded = cur.keys[idx], true
 		}
 		child := cur.children[idx]
-		child.mu.RLock()
-		cur.mu.RUnlock()
+		if locked {
+			if child.owner == own {
+				child.mu.RLock()
+			}
+			cur.mu.RUnlock()
+			locked = child.owner == own
+		}
 		cur = child
 	}
-	return cur, bound, bounded
+	return cur, bound, bounded, locked
 }
 
 // Insert stores v under k, returning the previous value and whether one
@@ -232,9 +282,9 @@ func (t *Tree) Insert(k int64, v Value) (Value, bool) {
 func (t *Tree) lockRootForWrite(grow bool) (*node, uint64) {
 	for {
 		t.rootMu.Lock()
-		own := t.owner
-		r := t.root.ownedBy(own, t.order)
-		t.root = r
+		own := t.owner.Load()
+		r := t.root.Load().ownedBy(own, t.order)
+		t.root.Store(r)
 		r.mu.Lock()
 		if !grow || !r.full(t.order) {
 			t.rootMu.Unlock()
@@ -243,7 +293,7 @@ func (t *Tree) lockRootForWrite(grow bool) (*node, uint64) {
 		// Grow the tree: new root above the split halves.
 		newRoot := &node{owner: own, children: []*node{r}}
 		newRoot.mu.Lock()
-		t.root = newRoot
+		t.root.Store(newRoot)
 		t.rootMu.Unlock()
 		splitChild(newRoot, 0, r)
 		// Both halves stay locked by splitChild; unlock them — the next
@@ -311,15 +361,15 @@ func (t *Tree) Delete(k int64) (Value, bool) {
 func (t *Tree) Len() int { return int(t.n.Load()) }
 
 // Scan visits pairs in ascending key order until fn returns false, one
-// lock-coupled descent per leaf: the separator bounding a leaf from above
-// is where the next leaf's range starts. Concurrent writers may or may not
-// be observed (the scan is not a snapshot); transaction-level consistency
-// is the scheduler's business.
+// descent per leaf (lock-coupled down owned nodes, unlocked below them):
+// the separator bounding a leaf from above is where the next leaf's range
+// starts. Concurrent writers may or may not be observed (the scan is not a
+// snapshot); transaction-level consistency is the scheduler's business.
 func (t *Tree) Scan(fn func(k int64, v Value) bool) {
 	from, more := int64(math.MinInt64), true
 	for more {
-		var leaf *node
-		leaf, from, more = t.rlockLeaf(from)
+		leaf, bound, bounded, locked := t.findLeaf(from)
+		from, more = bound, bounded
 		// Separators are never removed (no merging), so the leaf's range
 		// starts exactly at from: none of its keys was visited before.
 		for i := range leaf.keys {
@@ -328,7 +378,9 @@ func (t *Tree) Scan(fn func(k int64, v Value) bool) {
 				break
 			}
 		}
-		leaf.mu.RUnlock()
+		if locked {
+			leaf.mu.RUnlock()
+		}
 	}
 }
 
@@ -352,9 +404,12 @@ func (t *Tree) Clone() *Tree {
 	t.rootMu.Lock()
 	defer t.rootMu.Unlock()
 	// Fresh tokens for both: the nodes reachable now belong to neither.
-	out := &Tree{order: t.order, root: t.root, owner: owners.Add(2)}
-	t.owner = out.owner - 1
+	own := owners.Add(2)
+	out := &Tree{order: t.order}
+	out.root.Store(t.root.Load())
+	out.owner.Store(own)
 	out.n.Store(t.n.Load())
+	t.owner.Store(own - 1)
 	return out
 }
 
@@ -380,7 +435,7 @@ func (t *Tree) Equal(u *Tree) bool {
 // owned node below a shared one, Len equal to the number of pairs. It
 // returns the first violation.
 func (t *Tree) CheckInvariants() error {
-	depth, pairs := -1, 0
+	depth, pairs, own := -1, 0, t.owner.Load()
 	var walk func(n *node, level int, lo, hi *int64) error
 	walk = func(n *node, level int, lo, hi *int64) error {
 		if len(n.keys) > t.order-1 {
@@ -415,7 +470,7 @@ func (t *Tree) CheckInvariants() error {
 			return fmt.Errorf("btree: internal node with %d keys, %d children", len(n.keys), len(n.children))
 		}
 		for i, c := range n.children {
-			if c.owner == t.owner && n.owner != t.owner {
+			if c.owner == own && n.owner != own {
 				return fmt.Errorf("btree: owned node below a shared one")
 			}
 			var nlo, nhi *int64
@@ -435,7 +490,7 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return nil
 	}
-	if err := walk(t.root, 0, nil, nil); err != nil {
+	if err := walk(t.root.Load(), 0, nil, nil); err != nil {
 		return err
 	}
 	if pairs != t.Len() {

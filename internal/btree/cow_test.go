@@ -1,17 +1,20 @@
 package btree
 
 // Copy-on-write versions: differential tests of whole families of trees
-// sharing nodes, a race hammer with one writer and many readers of frozen
-// clones, the concurrent-writer hammers re-run on a tree that shares its
-// nodes with a live clone, and the cost pins (O(1) Clone and Len, one
-// path copy on the first write after a Clone).
+// sharing nodes, a race hammer with live writers and many unlocked
+// readers of frozen clones, the no-lock pin on those reads, the
+// concurrent-writer hammers re-run on a tree that shares its nodes with a
+// live clone, and the cost pins (O(1) Clone and Len, one path copy on the
+// first write after a Clone).
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // member is one tree of a family together with the map it must equal.
@@ -97,23 +100,46 @@ func TestCOWDifferential(t *testing.T) {
 	}
 }
 
-// TestCOWFrozenClonesUnderWriter: one writer mutates the live tree and
-// clones it every few writes; readers run Lookup, Scan and Len on the
-// retained clones while it does. Every clone must keep exactly the
-// contents it had at its Clone. Run with -race.
+// TestCOWFrozenClonesUnderWriter: writers mutate disjoint key ranges of
+// the live tree and clone it every few writes between them (excluding the
+// other writers, as the object latch does); readers run Lookup, Scan and Len on
+// the retained clones — unlocked reads of frozen nodes — and Lookup on a
+// resident range of the live tree that nobody writes, whose descent mixes
+// locked owned nodes with unlocked frozen ones. Every clone must keep
+// exactly the contents it had at its Clone. Run with -race.
 func TestCOWFrozenClonesUnderWriter(t *testing.T) {
-	const writes, every, readers, keys = 6000, 7, 4, 300
-	live := member{tr: New(5), oracle: map[int64]Value{}}
+	const writes, every, writers, readers, keys, resident = 3000, 7, 2, 4, 150, 32
+	live := New(5)
+	for k := int64(-resident); k < 0; k++ {
+		live.Insert(k, k)
+	}
+	// latch: writers share it, Clone takes it alone — Clone's contract.
+	// Each writer's oracle is written under the shared latch and read
+	// under the exclusive one.
+	var latch sync.RWMutex
+	oracles := make([]map[int64]Value, writers)
+	for w := range oracles {
+		oracles[w] = map[int64]Value{}
+	}
 	var mu sync.Mutex // guards frozen
 	var frozen []member
 	var done atomic.Bool
-	var wg sync.WaitGroup
+	var written atomic.Int64
+	var rwg, wwg sync.WaitGroup
 	for rd := 0; rd < readers; rd++ {
-		wg.Add(1)
+		rwg.Add(1)
 		go func(seed int64) {
-			defer wg.Done()
+			defer rwg.Done()
 			r := rand.New(rand.NewSource(seed))
-			for !done.Load() {
+			for ; !done.Load(); runtime.Gosched() {
+				// Yield between rounds: on few cores, a writer woken from a
+				// node lock these readers held would otherwise queue behind
+				// them for a whole time slice.
+				rk := -1 - int64(r.Intn(resident))
+				if v, ok := live.Lookup(rk); !ok || v != rk {
+					t.Errorf("live resident Lookup(%d) = %v,%v", rk, v, ok)
+					return
+				}
 				mu.Lock()
 				if len(frozen) == 0 {
 					mu.Unlock()
@@ -125,7 +151,7 @@ func TestCOWFrozenClonesUnderWriter(t *testing.T) {
 					t.Errorf("frozen Len = %d, want %d", got, len(m.oracle))
 					return
 				}
-				k := int64(r.Intn(keys))
+				k := int64(r.Intn(writers * keys))
 				v, ok := m.tr.Lookup(k)
 				if ov, ook := m.oracle[k]; ok != ook || v != ov {
 					t.Errorf("frozen Lookup(%d) = %v,%v, want %v,%v", k, v, ok, ov, ook)
@@ -146,28 +172,105 @@ func TestCOWFrozenClonesUnderWriter(t *testing.T) {
 			}
 		}(int64(rd))
 	}
-	r := rand.New(rand.NewSource(99))
-	for i := 0; i < writes; i++ {
-		k := int64(r.Intn(keys))
-		if r.Intn(3) == 0 {
-			live.tr.Delete(k)
-			delete(live.oracle, k)
-		} else {
-			live.tr.Insert(k, int64(i))
-			live.oracle[k] = int64(i)
+	cloneAll := func() member {
+		latch.Lock()
+		defer latch.Unlock()
+		m := member{tr: live.Clone(), oracle: map[int64]Value{}}
+		for k := int64(-resident); k < 0; k++ {
+			m.oracle[k] = k
 		}
-		if i%every == 0 {
-			c := live.clone()
-			mu.Lock()
-			frozen = append(frozen, c)
-			mu.Unlock()
+		for _, o := range oracles {
+			for k, v := range o {
+				m.oracle[k] = v
+			}
 		}
+		return m
 	}
+	for w := 0; w < writers; w++ {
+		wwg.Add(1)
+		go func(w int) {
+			defer wwg.Done()
+			r := rand.New(rand.NewSource(int64(99 + w)))
+			for i := 0; i < writes; i++ {
+				// Writer w owns keys [w*keys, (w+1)*keys).
+				k := int64(w*keys + r.Intn(keys))
+				latch.RLock()
+				if r.Intn(3) == 0 {
+					live.Delete(k)
+					delete(oracles[w], k)
+				} else {
+					live.Insert(k, int64(i))
+					oracles[w][k] = int64(i)
+				}
+				latch.RUnlock()
+				if written.Add(1)%every == 0 {
+					c := cloneAll()
+					mu.Lock()
+					frozen = append(frozen, c)
+					mu.Unlock()
+				}
+			}
+		}(w)
+	}
+	wwg.Wait()
 	done.Store(true)
-	wg.Wait()
-	for i, m := range append(frozen, live) {
+	rwg.Wait()
+	for i, m := range append(frozen, cloneAll()) {
 		if err := m.check(); err != nil {
 			t.Fatalf("clone %d of %d: %v", i, len(frozen), err)
+		}
+	}
+}
+
+// TestCloneReadsTakeNoLock: a published snapshot is read without any
+// lock. With the live tree's root pointer and every one of its nodes —
+// all of them shared with the clone — held exclusively, Lookup, Scan and
+// Len on the clone must still return: any lock taken on the way would
+// block until the timeout.
+func TestCloneReadsTakeNoLock(t *testing.T) {
+	for _, order := range []int{3, DefaultOrder} {
+		live := New(order)
+		for k := int64(0); k < 500; k++ {
+			live.Insert(k, k)
+		}
+		clone := live.Clone()
+		live.rootMu.Lock()
+		var nodes []*node
+		var hold func(n *node)
+		hold = func(n *node) {
+			n.mu.Lock()
+			nodes = append(nodes, n)
+			for _, c := range n.children {
+				hold(c)
+			}
+		}
+		hold(live.root.Load())
+		read := make(chan error, 1)
+		go func() {
+			if v, ok := clone.Lookup(321); !ok || v != int64(321) {
+				read <- fmt.Errorf("Lookup(321) = %v,%v", v, ok)
+				return
+			}
+			n := 0
+			clone.Scan(func(int64, Value) bool { n++; return true })
+			if n != 500 || clone.Len() != 500 {
+				read <- fmt.Errorf("Scan visited %d pairs, Len %d, want 500", n, clone.Len())
+				return
+			}
+			read <- nil
+		}()
+		var err error
+		select {
+		case err = <-read:
+		case <-time.After(5 * time.Second):
+			err = fmt.Errorf("reads of a frozen clone blocked on the live tree's locks")
+		}
+		for _, n := range nodes {
+			n.mu.Unlock()
+		}
+		live.rootMu.Unlock()
+		if err != nil {
+			t.Fatalf("order %d (%d nodes held): %v", order, len(nodes), err)
 		}
 	}
 }
@@ -207,7 +310,7 @@ func TestCOWConcurrentOverlappingMixShared(t *testing.T) {
 // height counts the levels of a quiescent tree.
 func (t *Tree) height() int {
 	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
+	for n := t.root.Load(); !n.leaf; n = n.children[0] {
 		h++
 	}
 	return h
@@ -263,11 +366,12 @@ func TestCloneCostPins(t *testing.T) {
 		// Len with the root pointer and the root node held exclusively:
 		// any node visit would self-deadlock.
 		tr.rootMu.Lock()
-		tr.root.mu.Lock()
+		root := tr.root.Load()
+		root.mu.Lock()
 		if got := tr.Len(); int64(got) != keys {
 			t.Errorf("Len = %d, want %d", got, keys)
 		}
-		tr.root.mu.Unlock()
+		root.mu.Unlock()
 		tr.rootMu.Unlock()
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,9 +70,9 @@ type Engine struct {
 	opts  Options
 	sched Scheduler
 
-	mu      sync.RWMutex
-	objects map[string]*Object
-	methods map[string]map[string]MethodFunc
+	// reg maps names to objects and methods; transaction paths read it
+	// without writing shared memory (see registry).
+	reg registry
 
 	rec  HistoryObserver
 	deps *depTracker
@@ -143,14 +142,14 @@ func New(sched Scheduler, opts Options) *Engine {
 	en := &Engine{
 		opts:    opts,
 		sched:   sched,
-		objects: make(map[string]*Object),
-		methods: make(map[string]map[string]MethodFunc),
 		rec:     rec,
 		deps:    deps,
 		tops:    tops,
 		tr:      opts.Tracer,
 		pubDone: make(map[uint64]bool),
 	}
+	en.reg.objects = make(map[string]*Object)
+	en.reg.methods = make(map[string]map[string]MethodFunc)
 	en.rngState.Store(uint64(time.Now().UnixNano()))
 	return en
 }
@@ -197,50 +196,6 @@ func (en *Engine) Scheduler() Scheduler { return en.sched }
 type Registrar interface {
 	AddObject(name string, sc *core.Schema, initial core.State) *Object
 	Register(object, method string, fn MethodFunc)
-}
-
-// AddObject creates an object instance. The initial state defaults to the
-// schema's NewState when nil.
-func (en *Engine) AddObject(name string, sc *core.Schema, initial core.State) *Object {
-	if initial == nil {
-		initial = sc.NewState()
-	}
-	o := &Object{name: name, schema: sc, eng: en, state: sc.Clone(initial)}
-	if en.opts.Versioning {
-		o.initVersions(initial)
-	}
-	en.mu.Lock()
-	en.objects[name] = o
-	en.mu.Unlock()
-	en.rec.AddObject(name, sc, initial)
-	return o
-}
-
-// Object returns the named object, or nil.
-func (en *Engine) Object(name string) *Object {
-	en.mu.RLock()
-	defer en.mu.RUnlock()
-	return en.objects[name]
-}
-
-// Register installs a method implementation on an object.
-func (en *Engine) Register(object, method string, fn MethodFunc) {
-	en.mu.Lock()
-	defer en.mu.Unlock()
-	if en.methods[object] == nil {
-		en.methods[object] = make(map[string]MethodFunc)
-	}
-	en.methods[object][method] = fn
-}
-
-func (en *Engine) method(object, name string) (MethodFunc, error) {
-	en.mu.RLock()
-	defer en.mu.RUnlock()
-	fn := en.methods[object][name]
-	if fn == nil {
-		return nil, fmt.Errorf("engine: object %q has no method %q", object, name)
-	}
-	return fn, nil
 }
 
 // Commits returns the number of committed top-level transactions.
@@ -484,12 +439,9 @@ func (en *Engine) call(parent *Exec, lane int, object, method string, args []cor
 		// method executions run against the same snapshot.
 		return en.viewCall(parent, lane, object, method, args)
 	}
-	fn, err := en.method(object, method)
+	fn, err := en.resolve(object, method)
 	if err != nil {
 		return nil, err
-	}
-	if en.Object(object) == nil {
-		return nil, fmt.Errorf("engine: unknown object %q", object)
 	}
 
 	childID := parent.nextChildID()
@@ -603,12 +555,12 @@ func (en *Engine) HistoryErr() (*core.History, error) {
 		// stats-only engine must not contend the object latches.
 		return nil, ErrHistoryDisabled
 	}
-	en.mu.RLock()
-	objs := make(map[string]*Object, len(en.objects))
-	for k, v := range en.objects {
+	en.reg.mu.Lock()
+	objs := make(map[string]*Object, len(en.reg.objects))
+	for k, v := range en.reg.objects {
 		objs[k] = v
 	}
-	en.mu.RUnlock()
+	en.reg.mu.Unlock()
 	finals := make(map[string]core.State, len(objs))
 	for name, o := range objs {
 		finals[name] = o.StateSnapshot()

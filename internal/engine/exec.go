@@ -290,7 +290,7 @@ func (c *Ctx) Do(object, op string, args ...core.Value) (core.Value, error) {
 		// directory's business, not this engine's.
 		return crossDo(c.e, object, inv)
 	}
-	obj := c.e.eng.Object(object)
+	obj := c.e.eng.resolveObject(object)
 	if obj == nil {
 		return nil, fmt.Errorf("engine: unknown object %q", object)
 	}

@@ -95,52 +95,76 @@ type ObserverStats struct {
 	Aborts   int64 // MarkAborted calls (aborted executions, not subtrees)
 }
 
-// statsObserver is the RecordStats implementation: four atomic counters,
-// no allocation on any path, memory O(1) regardless of run length.
+// statsObserver is the RecordStats implementation: event counters, no
+// allocation on any path, memory O(1) regardless of run length. The
+// counters are striped by top-level transaction number, one cache line
+// per stripe, so concurrent transactions (which hold distinct, mostly
+// consecutive numbers) count on distinct lines instead of all bumping one
+// shared word per event; EventStats sums the stripes. Every event still
+// lands in exactly one counter, so the sums are exact.
 type statsObserver struct {
+	stripes [statsStripes]statsStripe
+}
+
+// statsStripes is a power of two, well above the number of transactions
+// that run at once on a few cores.
+const statsStripes = 8
+
+// statsStripe is one stripe's counters, padded to a 128-byte line pair
+// so that adjacent-line prefetch does not couple neighbours either.
+type statsStripe struct {
 	execs    atomic.Int64
 	steps    atomic.Int64
 	messages atomic.Int64
 	aborts   atomic.Int64
+	_        [128 - 4*8]byte
 }
 
 func newStatsObserver() *statsObserver { return &statsObserver{} }
 
+// stripe returns the counters of id's top-level transaction.
+func (s *statsObserver) stripe(id core.ExecID) *statsStripe {
+	return &s.stripes[uint32(id[0])%statsStripes]
+}
+
 func (s *statsObserver) AddObject(string, *core.Schema, core.State) {}
 
-func (s *statsObserver) AddExec(core.ExecID, string, string) error {
-	s.execs.Add(1)
+func (s *statsObserver) AddExec(id core.ExecID, _, _ string) error {
+	s.stripe(id).execs.Add(1)
 	return nil
 }
 
-func (s *statsObserver) StartMessage(_, _ core.ExecID, _ int, _, _ string, _ []core.Value) (*core.MessageStep, error) {
-	s.messages.Add(1)
+func (s *statsObserver) StartMessage(parent, _ core.ExecID, _ int, _, _ string, _ []core.Value) (*core.MessageStep, error) {
+	s.stripe(parent).messages.Add(1)
 	return nil, nil
 }
 
 func (s *statsObserver) EndMessage(*core.MessageStep, core.Value, bool) {}
 
-func (s *statsObserver) AddStep(core.ExecID, string, core.StepInfo, int) error {
-	s.steps.Add(1)
+func (s *statsObserver) AddStep(id core.ExecID, _ string, _ core.StepInfo, _ int) error {
+	s.stripe(id).steps.Add(1)
 	return nil
 }
 
-func (s *statsObserver) AddViewStep(core.ExecID, string, core.StepInfo, int, uint64) error {
-	s.steps.Add(1)
+func (s *statsObserver) AddViewStep(id core.ExecID, _ string, _ core.StepInfo, _ int, _ uint64) error {
+	s.stripe(id).steps.Add(1)
 	return nil
 }
 
-func (s *statsObserver) MarkAborted(core.ExecID) { s.aborts.Add(1) }
+func (s *statsObserver) MarkAborted(id core.ExecID) { s.stripe(id).aborts.Add(1) }
 
 func (s *statsObserver) Snapshot(map[string]core.State) (*core.History, error) {
 	return nil, ErrHistoryDisabled
 }
 
 func (s *statsObserver) EventStats() ObserverStats {
-	return ObserverStats{
-		Execs:    s.execs.Load(),
-		Steps:    s.steps.Load(),
-		Messages: s.messages.Load(),
-		Aborts:   s.aborts.Load(),
+	var st ObserverStats
+	for i := range s.stripes {
+		p := &s.stripes[i]
+		st.Execs += p.execs.Load()
+		st.Steps += p.steps.Load()
+		st.Messages += p.messages.Load()
+		st.Aborts += p.aborts.Load()
 	}
+	return st
 }

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"objectbase/internal/core"
@@ -154,5 +156,84 @@ func TestFullRecorderEventStats(t *testing.T) {
 	h := en.History()
 	if h == nil || len(h.Execs) != 6 {
 		t.Fatalf("full history should still be available")
+	}
+}
+
+// TestStatsCountsExactUnderContention: concurrent snapshot scans and
+// writers under RecordStats, each event counted on its transaction's
+// stripe. The observer's totals must equal what the transactions did —
+// counted by the bodies themselves, so refreshed snapshots and fallbacks
+// are included — with no increment lost to the striping. Run with -race.
+func TestStatsCountsExactUnderContention(t *testing.T) {
+	en := newDictEngine(Options{Recording: RecordStats, Versioning: true})
+	var execs, messages, steps atomic.Int64
+	step := func(c *Ctx, op string, args ...core.Value) (core.Value, error) {
+		v, err := c.Do("d", op, args...)
+		if err == nil {
+			steps.Add(1)
+		}
+		return v, err
+	}
+	method := func(op string, arity int) MethodFunc {
+		return func(c *Ctx) (core.Value, error) {
+			execs.Add(1)
+			messages.Add(1)
+			return step(c, op, c.Args()[:arity]...)
+		}
+	}
+	en.Register("d", "len", method("Len", 0))
+	en.Register("d", "lookup", method("Lookup", 1))
+	en.Register("d", "insert", method("Insert", 2))
+	en.Register("d", "delete", method("Delete", 1))
+
+	const clients, txns, keys = 4, 200, 32
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < txns; i++ {
+				k := int64(w*keys + i%keys)
+				var err error
+				if i%4 == 3 {
+					_, err = en.Run("write", func(c *Ctx) (core.Value, error) {
+						execs.Add(1)
+						if i%8 == 3 {
+							return c.Call("d", "insert", k, k)
+						}
+						return c.Call("d", "delete", k)
+					})
+				} else {
+					_, err = en.RunView(context.Background(), "scan", func(c *Ctx) (core.Value, error) {
+						execs.Add(1)
+						if _, err := c.Call("d", "len"); err != nil {
+							return nil, err
+						}
+						for j := int64(0); j < 8; j++ {
+							if _, err := c.Call("d", "lookup", (k+j)%(clients*keys)); err != nil {
+								return nil, err
+							}
+						}
+						return nil, nil
+					})
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := en.ObserverStats()
+	if st.Execs != execs.Load() || st.Messages != messages.Load() || st.Steps != steps.Load() {
+		t.Fatalf("ObserverStats = %+v, the transactions made %d execs, %d messages, %d steps",
+			st, execs.Load(), messages.Load(), steps.Load())
+	}
+	// Every committed scan is 10 executions, 9 messages and 9 steps, every
+	// write 2, 1 and 1; refreshed attempts can only add to that.
+	scans, writes := int64(clients*txns*3/4), int64(clients*txns/4)
+	if st.Execs < 10*scans+2*writes || st.Messages < 9*scans+writes || st.Steps < 9*scans+writes {
+		t.Fatalf("ObserverStats = %+v, below %d scans and %d writes", st, scans, writes)
 	}
 }

@@ -257,7 +257,7 @@ func (cs *crossState) serialDo(e *Exec, object string, inv core.OpInvocation) (c
 		// A method execution issuing a step on an object of its own
 		// engine — the idiomatic local step. Its engine was
 		// membership-checked when the message creating it was routed.
-		if obj = e.eng.Object(object); obj != nil {
+		if obj = e.eng.resolveObject(object); obj != nil {
 			home = e.eng
 		}
 	}
@@ -271,7 +271,7 @@ func (cs *crossState) serialDo(e *Exec, object string, inv core.OpInvocation) (c
 		if err := cs.joinSerial(e.top, home, s); err != nil {
 			return nil, err
 		}
-		obj = home.Object(object)
+		obj = home.resolveObject(object)
 		if obj == nil {
 			return nil, fmt.Errorf("engine: unknown object %q", object)
 		}
@@ -308,8 +308,11 @@ func (cs *crossState) serialDo(e *Exec, object string, inv core.OpInvocation) (c
 func serialCall(parent *Exec, lane int, object, method string, args []core.Value) (core.Value, error) {
 	cs := parent.top.cross
 	var home *Engine
-	if parent != parent.top && parent.eng.Object(object) != nil {
-		home = parent.eng
+	var ent regEntry
+	if parent != parent.top {
+		if ent = parent.eng.entry(object); ent.obj != nil {
+			home = parent.eng
+		}
 	}
 	if home == nil {
 		var s int
@@ -321,11 +324,9 @@ func serialCall(parent *Exec, lane int, object, method string, args []core.Value
 		if err := cs.joinSerial(parent.top, home, s); err != nil {
 			return nil, err
 		}
-		if home.Object(object) == nil {
-			return nil, fmt.Errorf("engine: unknown object %q", object)
-		}
+		ent = home.entry(object)
 	}
-	fn, err := home.method(object, method)
+	fn, err := ent.method(object, method)
 	if err != nil {
 		return nil, err
 	}

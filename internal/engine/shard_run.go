@@ -553,7 +553,7 @@ func pregateFor(r Router, touches []string) []int {
 	set := make([]int, 0, len(touches))
 	for _, o := range touches {
 		en, s, err := r.HomeOf(o)
-		if err != nil || en.Object(o) == nil {
+		if err != nil || en.resolveObject(o) == nil {
 			// Unknown object: the directory would still hash it somewhere,
 			// but gating an unrelated shard for a name that cannot be
 			// touched would serialise innocent traffic for nothing.
@@ -829,7 +829,7 @@ func crossDo(e *Exec, object string, inv core.OpInvocation) (core.Value, error) 
 		// joined when the message creating this execution was routed, so
 		// the directory, the join bookkeeping, and their locks are all
 		// skippable.
-		if obj = e.eng.Object(object); obj != nil {
+		if obj = e.eng.resolveObject(object); obj != nil {
 			home = e.eng
 		}
 	}
@@ -840,7 +840,7 @@ func crossDo(e *Exec, object string, inv core.OpInvocation) (core.Value, error) 
 		if err != nil {
 			return nil, err
 		}
-		obj = home.Object(object)
+		obj = home.resolveObject(object)
 		if obj == nil {
 			return nil, fmt.Errorf("engine: unknown object %q", object)
 		}
@@ -886,12 +886,9 @@ func crossCall(parent *Exec, lane int, object, method string, args []core.Value)
 	// Validate before joining: a misnamed object or method must fail
 	// fast, not first pay gate acquisition (possibly a cross-shard
 	// restart) and scheduler bookkeeping for a shard it can never use.
-	fn, err := home.method(object, method)
+	fn, err := home.resolve(object, method)
 	if err != nil {
 		return nil, err
-	}
-	if home.Object(object) == nil {
-		return nil, fmt.Errorf("engine: unknown object %q", object)
 	}
 	if err := cs.join(parent.top, home, s); err != nil {
 		return nil, err

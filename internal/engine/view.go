@@ -211,12 +211,9 @@ func (en *Engine) viewStep(e *Exec, obj *Object, inv core.OpInvocation) (core.Va
 // the child method execution and records the message, but never touches
 // the scheduler and adopts no undo log (there is nothing to undo).
 func (en *Engine) viewCall(parent *Exec, lane int, object, method string, args []core.Value) (core.Value, error) {
-	fn, err := en.method(object, method)
+	fn, err := en.resolve(object, method)
 	if err != nil {
 		return nil, err
-	}
-	if en.Object(object) == nil {
-		return nil, fmt.Errorf("engine: unknown object %q", object)
 	}
 	childID := parent.nextChildID()
 	msg, err := en.rec.StartMessage(parent.id, childID, lane, object, method, args)
