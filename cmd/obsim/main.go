@@ -12,12 +12,11 @@
 //	           [-clients N] [-txns N] [-duration D] [-rate R]
 //	           [-keys N] [-theta F] [-readfrac F] [-seed N]
 //	           [-view] [-shards N[,M...]] [-verify sample|all|none]
-//	           [-epoch off|serial|WINDOW[:BATCH][,...]]
 //	           [-history auto|full|off|full,off] [-out FILE] [-append]
 //	           [-repeat N]
 //	           [-trace FILE]   # drive the load matrix, print the table
-//	                           # (with per-phase lock-wait/publish/
-//	                           # epoch-wait columns on traced cells),
+//	                           # (with per-phase lock-wait/publish
+//	                           # columns on traced cells),
 //	                           # write the machine-readable
 //	                           # BENCH_load.json; -trace turns the flight
 //	                           # recorder on for every cell and writes the
@@ -248,7 +247,6 @@ func runLoad(args []string) {
 	seed := fs.Int64("seed", 42, "deterministic seed")
 	view := fs.Bool("view", false, "route read-only transactions through the snapshot fast path (DB.View)")
 	shardsFlag := fs.String("shards", "1", "shard count, or a comma list (e.g. 1,8 runs every cell at both counts)")
-	epochFlag := fs.String("epoch", "off", "epoch group-commit policy for declared transactions: off, serial (the forced-space per-txn baseline), or WINDOW[:BATCH] (e.g. 100us:16; BATCH defaults to the client count); a comma list runs every cell at each policy")
 	quick := fs.Bool("quick", false, "CI-sized runs (small client/txn counts unless set explicitly)")
 	verify := fs.String("verify", "sample", "oracle policy: sample (one run per scheduler per shard count), all, none")
 	hist := fs.String("history", "auto",
@@ -262,14 +260,14 @@ func runLoad(args []string) {
 	}
 	// Validate the matrix-shaping flags as one combination, so a run with
 	// several mistakes reports all of them in one go.
-	spec, flagErrs := load.FlagConfig{Shards: *shardsFlag, Verify: *verify, History: *hist, View: *view, Epoch: *epochFlag}.Validate()
+	spec, flagErrs := load.FlagConfig{Shards: *shardsFlag, Verify: *verify, History: *hist, View: *view}.Validate()
 	for _, err := range flagErrs {
 		fmt.Fprintf(os.Stderr, "obsim load: %v\n", err)
 	}
 	if len(flagErrs) > 0 {
 		os.Exit(2)
 	}
-	shardCounts, modes, epochs := spec.ShardCounts, spec.HistoryModes, spec.EpochPolicies
+	shardCounts, modes := spec.ShardCounts, spec.HistoryModes
 	if *quick {
 		if *clients == 0 {
 			*clients = 4
@@ -308,84 +306,79 @@ func runLoad(args []string) {
 		for _, s := range schedulers {
 			for _, mode := range modes {
 				for _, shardN := range shardCounts {
-					for _, ep := range epochs {
-						// The oracle wants a full history; -history off cells are
-						// measurement-only. "auto" maps to the driver's empty mode,
-						// whose resolution (full exactly where the verify policy
-						// samples, off elsewhere) lives in load.Options. The epoch
-						// policy joins the sample key: an epoch cell commits on a
-						// different code path than its per-transaction sibling, so
-						// each policy earns its own verified run.
-						sampleKey := fmt.Sprintf("%s/%d/%s", s, shardN, ep)
-						doVerify := *verify == "all" || (*verify == "sample" && !sampled[sampleKey])
-						var hmode objectbase.HistoryMode
-						switch mode {
-						case "full":
-							hmode = objectbase.HistoryFull
-						case "off":
-							hmode = objectbase.HistoryOff
-							doVerify = false
-						}
-						// With -repeat the cell runs N times and the best run (max
-						// throughput) represents it: scheduler preemption and cache
-						// state only ever subtract throughput, so the max is the
-						// least-noisy estimate of what the code can do. Verified
-						// cells run once: they exist for the oracle's verdict, and
-						// each extra rep would replay the whole history again while
-						// the full-history recording disqualifies the number as a
-						// measurement anyway.
-						reps := *repeat
-						if doVerify {
-							reps = 1
-						}
-						var res *load.Result
-						for r := 0; r < reps || res == nil; r++ {
-							one, err := load.Run(context.Background(), load.Options{
-								Scenario:  scenario,
-								Scheduler: s,
-								Knobs: load.Knobs{
-									Clients: *clients, Txns: *txns, Duration: *duration,
-									Rate: *rate, Keys: *keys, Theta: *theta,
-									ReadFraction: *readfrac, Seed: *seed, UseView: *view,
-									Shards: shardN, Epoch: ep,
-								},
-								Verify:  doVerify,
-								History: hmode,
-								Trace:   *tracePath != "",
-							})
-							if err != nil {
-								fmt.Fprintf(os.Stderr, "obsim load: %s × %s: %v\n", sc, s, err)
-								os.Exit(1)
-							}
-							if res == nil || one.Throughput > res.Throughput {
-								res = one
-							}
-						}
-						if *tracePath != "" {
-							// One pid per cell, named by its cell key, so a
-							// multi-cell trace stays navigable in the viewer.
-							tracePid++
-							traceEvents = append(traceEvents, obs.TraceEvent{
-								Name: "process_name", Ph: "M", Pid: tracePid,
-								Args: map[string]string{"name": res.CellKey()},
-							})
-							traceEvents = append(traceEvents, obs.ToTraceEvents(res.Spans, res.TraceEpoch, tracePid)...)
-						}
-						if doVerify {
-							sampled[sampleKey] = true
-							// Legality is an engine invariant: its violation is fatal
-							// under any scheduler. Beyond that the empty scheduler is
-							// the control: its anomalies are expected, so its verdict
-							// is reported but not fatal.
-							if res.Legal != nil && !*res.Legal {
-								fmt.Fprintf(os.Stderr, "obsim load: %s × %s: history not legal: %s\n", sc, s, res.Verdict)
-								verifyFailed = true
-							} else if res.Verified != nil && !*res.Verified && s != "none" {
-								verifyFailed = true
-							}
-						}
-						report.Add(res)
+					// The oracle wants a full history; -history off cells are
+					// measurement-only. "auto" maps to the driver's empty mode,
+					// whose resolution (full exactly where the verify policy
+					// samples, off elsewhere) lives in load.Options.
+					sampleKey := fmt.Sprintf("%s/%d", s, shardN)
+					doVerify := *verify == "all" || (*verify == "sample" && !sampled[sampleKey])
+					var hmode objectbase.HistoryMode
+					switch mode {
+					case "full":
+						hmode = objectbase.HistoryFull
+					case "off":
+						hmode = objectbase.HistoryOff
+						doVerify = false
 					}
+					// With -repeat the cell runs N times and the best run (max
+					// throughput) represents it: scheduler preemption and cache
+					// state only ever subtract throughput, so the max is the
+					// least-noisy estimate of what the code can do. Verified
+					// cells run once: they exist for the oracle's verdict, and
+					// each extra rep would replay the whole history again while
+					// the full-history recording disqualifies the number as a
+					// measurement anyway.
+					reps := *repeat
+					if doVerify {
+						reps = 1
+					}
+					var res *load.Result
+					for r := 0; r < reps || res == nil; r++ {
+						one, err := load.Run(context.Background(), load.Options{
+							Scenario:  scenario,
+							Scheduler: s,
+							Knobs: load.Knobs{
+								Clients: *clients, Txns: *txns, Duration: *duration,
+								Rate: *rate, Keys: *keys, Theta: *theta,
+								ReadFraction: *readfrac, Seed: *seed, UseView: *view,
+								Shards: shardN,
+							},
+							Verify:  doVerify,
+							History: hmode,
+							Trace:   *tracePath != "",
+						})
+						if err != nil {
+							fmt.Fprintf(os.Stderr, "obsim load: %s × %s: %v\n", sc, s, err)
+							os.Exit(1)
+						}
+						if res == nil || one.Throughput > res.Throughput {
+							res = one
+						}
+					}
+					if *tracePath != "" {
+						// One pid per cell, named by its cell key, so a
+						// multi-cell trace stays navigable in the viewer.
+						tracePid++
+						traceEvents = append(traceEvents, obs.TraceEvent{
+							Name: "process_name", Ph: "M", Pid: tracePid,
+							Args: map[string]string{"name": res.CellKey()},
+						})
+						traceEvents = append(traceEvents, obs.ToTraceEvents(res.Spans, res.TraceEpoch, tracePid)...)
+					}
+					if doVerify {
+						sampled[sampleKey] = true
+						// Legality is an engine invariant: its violation is fatal
+						// under any scheduler. Beyond that the empty scheduler is
+						// the control: its anomalies are expected, so its verdict
+						// is reported but not fatal.
+						if res.Legal != nil && !*res.Legal {
+							fmt.Fprintf(os.Stderr, "obsim load: %s × %s: history not legal: %s\n", sc, s, res.Verdict)
+							verifyFailed = true
+						} else if res.Verified != nil && !*res.Verified && s != "none" {
+							verifyFailed = true
+						}
+					}
+					report.Add(res)
 				}
 			}
 		}

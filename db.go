@@ -100,8 +100,6 @@ type config struct {
 	shards       int
 	tracing      bool
 	debugAddr    string
-	epochWindow  time.Duration
-	epochBatch   int
 }
 
 // Option configures Open.
@@ -219,39 +217,6 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithEpochs enables epoch-based group commit for declared-set
-// transactions (Txn, ExecTouching): instead of each transaction paying
-// its own shard-gate round, publication sequence, and stats write, a
-// per-shard accumulator collects a batch — bounded by the time window
-// and the maxBatch size cap — and a flusher runs the whole batch under
-// one gate acquisition per epoch, publishing every member's committed
-// writes at a single sequence number per engine. Individual aborts
-// still roll back only their own steps, the history records each member
-// as an ordinary transaction (Verify certifies epoch runs unchanged),
-// and undeclared transactions and Views keep their usual paths.
-//
-// Batching trades latency for throughput: each member waits up to
-// window for its epoch to fill, so it wins when small declared-set
-// transactions arrive faster than one per window, and loses under
-// sparse traffic (see the README's "Epoch execution" section for
-// tuning). A maxBatch of 1 disables batching but still routes declared
-// transactions through the sharded serial fast path — the honest
-// baseline to measure epoch gains against. WithEpochs forces the
-// sharded runtime even at one shard.
-func WithEpochs(window time.Duration, maxBatch int) Option {
-	return func(c *config) error {
-		if window < 0 {
-			return fmt.Errorf("objectbase: WithEpochs: negative window %v", window)
-		}
-		if maxBatch < 1 {
-			return fmt.Errorf("objectbase: WithEpochs: non-positive batch cap %d", maxBatch)
-		}
-		c.epochWindow = window
-		c.epochBatch = maxBatch
-		return nil
-	}
-}
-
 // WithHistoryLimit caps a HistoryFull DB at n recorded events (method
 // executions + local steps + messages). History memory otherwise grows
 // for the life of the DB — every event is retained for the oracle — so
@@ -364,14 +329,8 @@ func Open(opts ...Option) (*DB, error) {
 		Tracer:       tr,
 	}
 	var db *DB
-	if cfg.shards > 1 || cfg.epochBatch > 0 {
-		// Epoch mode runs on the sharded runtime (gates, directory,
-		// accumulators) even at one shard.
-		shards := cfg.shards
-		if shards < 1 {
-			shards = 1
-		}
-		engines, err := cc.NewShardedEngines(cfg.scheduler, shards, cc.Config{LockTimeout: cfg.lockTimeout}, engOpts)
+	if cfg.shards > 1 {
+		engines, err := cc.NewShardedEngines(cfg.scheduler, cfg.shards, cc.Config{LockTimeout: cfg.lockTimeout}, engOpts)
 		if err != nil {
 			return nil, fmt.Errorf("objectbase: %w", err)
 		}
@@ -380,9 +339,6 @@ func Open(opts ...Option) (*DB, error) {
 			eng:       engines[0],
 			engines:   engines,
 			space:     shard.NewSpace(engines),
-		}
-		if cfg.epochBatch > 0 {
-			db.space.EnableEpochs(cfg.epochWindow, cfg.epochBatch)
 		}
 	} else {
 		sched, err := cc.NewByName(cfg.scheduler, cc.Config{LockTimeout: cfg.lockTimeout})
@@ -650,12 +606,6 @@ type Stats struct {
 	// they are counted here, not in Aborts.
 	SerialRestarts int64
 	TwoPCRestarts  int64
-	// EpochCommits counts transactions committed through the epoch
-	// group-commit path (WithEpochs) — a subset of Commits; EpochFlushes
-	// counts the epoch batches flushed, so EpochCommits/EpochFlushes is
-	// the realised mean batch size.
-	EpochCommits int64
-	EpochFlushes int64
 }
 
 // Sub returns the counter deltas s - prev: the activity between two
@@ -674,8 +624,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		ViewFallbacks:  s.ViewFallbacks - prev.ViewFallbacks,
 		SerialRestarts: s.SerialRestarts - prev.SerialRestarts,
 		TwoPCRestarts:  s.TwoPCRestarts - prev.TwoPCRestarts,
-		EpochCommits:   s.EpochCommits - prev.EpochCommits,
-		EpochFlushes:   s.EpochFlushes - prev.EpochFlushes,
 	}
 }
 
@@ -696,9 +644,6 @@ func (db *DB) Stats() Stats {
 		// counts each restart once.
 		st.SerialRestarts += en.SerialRestarts()
 		st.TwoPCRestarts += en.TwoPCRestarts()
-		st.EpochCommits += en.EpochCommits()
-		// Flushes are charged to the base engine only.
-		st.EpochFlushes += en.EpochFlushes()
 	}
 	// Scheduler-side counters come from the distinct scheduler instances:
 	// per-shard schedulers contribute each, a space-shared one (the
@@ -835,8 +780,6 @@ func (db *DB) buildRegistry() {
 	counter("view_fallbacks", "View transactions that fell back to the locked path.", func(s Stats) int64 { return s.ViewFallbacks })
 	counter("serial_restarts", "Serial-path restarts growing a declared shard set.", func(s Stats) int64 { return s.SerialRestarts })
 	counter("twopc_restarts", "Cross-shard restarts discovering a shard late.", func(s Stats) int64 { return s.TwoPCRestarts })
-	counter("epoch_commits", "Transactions committed through epoch group commit.", func(s Stats) int64 { return s.EpochCommits })
-	counter("epoch_flushes", "Epoch batches flushed.", func(s Stats) int64 { return s.EpochFlushes })
 	reg.Gauge("shards", "Number of shards the object space is partitioned into.", func() int64 { return int64(len(db.engines)) })
 	// Schedulers that admit uncommitted access gauge their bookkeeping, so
 	// a slow cell can be told from a long log straight off /metrics. Both

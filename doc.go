@@ -104,23 +104,6 @@
 // The declaration is a hint: touching an undeclared object degrades to
 // discovery, never to a wrong result.
 //
-// # Epoch group commit
-//
-// Open(WithEpochs(window, maxBatch)) batches declared-set transactions
-// through per-shard accumulators: a flat-combining flusher runs each
-// batch down the serial fast path under one gate acquisition of the
-// batch's shard-set union, publishes the whole epoch at one version
-// sequence number per engine, and flushes the outcome counters once
-// per batch. Members keep their own undo logs and history identities —
-// an abort rolls back only its own steps, and Verify certifies epoch
-// runs unchanged. A short batch waits at most window for stragglers,
-// trading that much latency for batch size; Stats.EpochCommits over
-// Stats.EpochFlushes is the realised mean batch size. WithEpochs(0, 1)
-// disables batching while keeping the sharded serial fast path — the
-// per-transaction baseline epoch cells are measured against (see the
-// README's "Epoch execution" section for the measured trade-off and
-// tuning guidance).
-//
 // # History recording
 //
 // By default every execution event is retained so History/Check/Verify

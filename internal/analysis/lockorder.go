@@ -22,18 +22,14 @@ import (
 // TryRGate) are confined to the lockGateCtx/rLockGateCtx helpers, and a
 // function calling those helpers more than once must do so in directory
 // order — in a loop over a sorted shard set, or guarded by an
-// ascending-order or emptiness comparison. Blessed batch acquirers
-// (gateBatchAcquirers) are exempt from the per-site evidence check:
-// their contract is that the whole argument set is sorted before any
-// gate is taken, which the per-site heuristics cannot see.
+// ascending-order or emptiness comparison.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "in internal/lock and internal/engine, ranked mutexes must be " +
 		"acquired in tier order (object latch → stripe → owner shard → " +
 		"waits registry → pubMu, never two of one tier), raw gate " +
 		"acquisition stays inside lockGateCtx/rLockGateCtx, and repeated " +
-		"gate-helper calls must follow ascending shard order (blessed " +
-		"batch acquirers excepted)",
+		"gate-helper calls must follow ascending shard order",
 	Run: runLockOrder,
 }
 
@@ -60,15 +56,6 @@ var gateAcquire = map[string]bool{
 // gateHelpers are the blessed ctx-aware gate acquisition wrappers.
 var gateHelpers = map[string]bool{
 	"lockGateCtx": true, "rLockGateCtx": true,
-}
-
-// gateBatchAcquirers are functions whose whole job is to take a
-// pre-sorted batch of gates in one pass — the epoch flusher's
-// acquireEpochGates sorts the batch union before acquiring anything, so
-// its call sites carry the ordering proof in the data rather than in
-// syntax the per-site check can recognise.
-var gateBatchAcquirers = map[string]bool{
-	"acquireEpochGates": true,
 }
 
 func runLockOrder(pass *Pass) error {
@@ -218,9 +205,6 @@ func checkGateDiscipline(pass *Pass) {
 			sites := sitesByFunc[fn]
 			if len(sites) < 2 {
 				continue // a sole acquisition cannot be out of order
-			}
-			if gateBatchAcquirers[fn] {
-				continue // blessed: sorts its gate set before acquiring
 			}
 			for _, s := range sites {
 				if gateSiteOrdered(s.stack) {

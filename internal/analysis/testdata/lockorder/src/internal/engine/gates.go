@@ -64,16 +64,6 @@ func gateRaw(r Router) {
 	r.UnlockGate(1)
 }
 
-// acquireEpochGates mirrors the epoch flusher's batch acquirer: the
-// union argument is sorted before the call, so the sites carry no
-// syntactic ordering evidence but the function is blessed by name.
-func acquireEpochGates(r Router, union []int) {
-	if err := lockGateCtx(context.Background(), r, union[0]); err != nil {
-		return
-	}
-	_ = lockGateCtx(context.Background(), r, union[1])
-}
-
 // gateUnordered takes two gates with no ordering evidence.
 func gateUnordered(ctx context.Context, r Router) error {
 	if err := lockGateCtx(ctx, r, 2); err != nil { // want "lockGateCtx called without ordering discipline"

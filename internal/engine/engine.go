@@ -105,8 +105,6 @@ type Engine struct {
 	viewFallbacks  atomic.Int64
 	serialRestarts atomic.Int64
 	twopcRestarts  atomic.Int64
-	epochCommits   atomic.Int64
-	epochFlushes   atomic.Int64
 	// Version-ring health (Options.Versioning): publications that
 	// captured a state, publications that left a gap instead, and gaps
 	// an undo later repaired. Bumped under the publishing object's latch.
@@ -214,14 +212,6 @@ func (en *Engine) SerialRestarts() int64 { return en.serialRestarts.Load() }
 // TwoPCRestarts returns the number of cross-shard attempts that
 // restarted 2PC after discovering new shards mid-flight.
 func (en *Engine) TwoPCRestarts() int64 { return en.twopcRestarts.Load() }
-
-// EpochCommits returns the number of transactions committed through the
-// epoch group-commit path — a subset of Commits.
-func (en *Engine) EpochCommits() int64 { return en.epochCommits.Load() }
-
-// EpochFlushes returns the number of epoch batches flushed by this
-// engine's accumulators (counted on the base engine).
-func (en *Engine) EpochFlushes() int64 { return en.epochFlushes.Load() }
 
 // Tracer returns the engine's flight recorder (nil when tracing is
 // off).

@@ -190,17 +190,10 @@ func (o *Object) initVersions(initial core.State) {
 // commit has already published on this object (out-of-order loser). In
 // either losing case a gap lands instead of a wrong snapshot: readers
 // refresh past it or fall back.
-func (o *Object) publishVersion(topKey string, batchKeys []string, seq uint64) {
+func (o *Object) publishVersion(topKey string, seq uint64) {
 	ordAcquire(ordRankObject, "object latch")
 	o.mu.Lock()
 	delete(o.pending, topKey)
-	// Epoch group commit: every committed batch member's mark retires
-	// before the capture decision, so the one shared sequence number
-	// captures the state after the whole batch — gate exclusivity
-	// guarantees no writer outside the batch holds a mark here.
-	for _, k := range batchKeys {
-		delete(o.pending, k)
-	}
 	ring := o.vers.Load()
 	switch {
 	case ring.Newest().Seq > seq:

@@ -64,20 +64,12 @@ func serialChildGet(home *Engine, parent *Exec, id core.ExecID, object, method s
 	return c
 }
 
-// serialExecGet returns a reset shardedExec in serial mode.
+// serialExecGet returns a shardedExec reset for one serial-mode attempt.
+// The reset is explicit, field by field: the structs embed mutexes and
+// atomics, so a wholesale overwrite is not an option, and every field
+// the serial path can have touched must be listed here.
 func serialExecGet(r Router) *shardedExec {
 	st := serialExecPool.Get().(*shardedExec)
-	serialExecReset(st, r)
-	return st
-}
-
-// serialExecReset re-arms a shardedExec for one serial-mode attempt (an
-// epoch flusher re-arms the same state between batch members instead of
-// round-tripping the pool). The reset is explicit, field by field: the
-// structs embed mutexes and atomics, so a wholesale overwrite is not an
-// option, and every field the serial path can have touched must be
-// listed here.
-func serialExecReset(st *shardedExec, r Router) {
 	e, cs := &st.e, &st.cs
 	e.args = nil
 	e.parent = nil
@@ -103,25 +95,34 @@ func serialExecReset(st *shardedExec, r Router) {
 	cs.counted = nil
 	cs.pinned = nil
 	cs.snapSeq = 0
+	return st
 }
 
 // runSerialOnce is one attempt of a declared-set transaction: exclusive
 // gates around direct execution, with the degenerate shard-ordered
 // two-phase commit (validation cannot fail; publication and gate release
-// walk the shards in reverse order).
-func (en *Engine) runSerialOnce(ctx context.Context, r Router, name string, fn MethodFunc, args []core.Value, readOnly bool, gate []int) (core.Value, error) {
-	id := en.allocTop()
-	defer en.releaseTop(id)
+// walk the shards in reverse order). It takes over the admit span
+// runShardedRetry opened and re-homes it to the transaction's ring.
+func (en *Engine) runSerialOnce(ctx context.Context, r Router, sp obs.Span, name string, fn MethodFunc, args []core.Value, readOnly bool, gate []int) (core.Value, error) {
 	tr := en.tr
-	sp := tr.StartSpan(obs.PhaseAdmit, ringKey(id), "", "")
+	id := en.allocTop()
 	if tr != nil {
 		// The exec key is formatted inside the admit span, not before it:
 		// the cost is real work of this attempt and must not fall into an
 		// unmeasured gap (the phases partition the attempt's wall time).
-		sp = sp.WithExec(id.Key())
+		sp = sp.WithExecRing(id.Key(), ringKey(id))
 	}
 	st := serialExecGet(r)
-	defer serialExecPool.Put(st) // after releaseGates (LIFO)
+	// The gates, the pooled state and the identity are released inside
+	// the final span (a gate handoff can deschedule the releasing
+	// goroutine, and anything after the span's End falls into an
+	// unmeasured gap); the guarded defer covers a panicking body.
+	released := false
+	defer func() {
+		if !released {
+			en.endSerial(st, id)
+		}
+	}()
 	e, cs := &st.e, &st.cs
 	e.id = id
 	e.object = core.EnvironmentObject
@@ -138,18 +139,21 @@ func (en *Engine) runSerialOnce(ctx context.Context, r Router, name string, fn M
 			for j := i - 1; j >= 0; j-- {
 				r.UnlockGate(gate[j])
 			}
+			released = true
+			en.endSerial(st, id)
 			sp.EndWith("cancel")
 			return nil, err
 		}
 	}
 	ordGates(gate)
 	cs.gated = gate
-	defer cs.releaseGates() // after publication (LIFO)
 	// Record the top-level execution eagerly in the base engine, exactly
 	// like an unsharded run records every top in its engine: a
 	// transaction that commits without touching any object must still
 	// appear in the (stitched) history.
 	if err := en.rec.AddExec(id, e.object, e.method); err != nil {
+		released = true
+		en.endSerial(st, id)
 		sp.EndWith("abort")
 		return nil, historyAbort(id, err)
 	}
@@ -176,6 +180,8 @@ func (en *Engine) runSerialOnce(ctx context.Context, r Router, name string, fn M
 			// everything else counts as an aborted attempt.
 			counted.aborts.Add(1)
 		}
+		released = true
+		en.endSerial(st, id)
 		sp.EndWith("abort")
 		return nil, err
 	}
@@ -184,8 +190,19 @@ func (en *Engine) runSerialOnce(ctx context.Context, r Router, name string, fn M
 		publishCommitSharded(e)
 	}
 	counted.commits.Add(1)
+	released = true
+	en.endSerial(st, id)
 	sp.End()
 	return ret, nil
+}
+
+// endSerial ends a serial attempt: it releases the gates (in reverse
+// order, after publication), returns the pooled state and retires the
+// identity.
+func (en *Engine) endSerial(st *shardedExec, id core.ExecID) {
+	st.cs.releaseGates()
+	serialExecPool.Put(st)
+	en.releaseTop(id)
 }
 
 // joinSerial makes engine en (shard s) a participant of a serial

@@ -576,17 +576,8 @@ func pregateFor(r Router, touches []string) []int {
 
 func runShardedRetry(ctx context.Context, r Router, name string, fn MethodFunc, args []core.Value, touches []string, readOnly bool) (core.Value, error) {
 	base := r.Base()
-	pregate := pregateFor(r, touches)
-	// A declared object set runs serially under exclusive gates — batched
-	// through the epoch accumulators when the space runs them — while an
-	// undeclared transaction runs scheduled, and keeps the scheduled path
-	// across its discovery restarts (the learned set is then pre-gated
-	// around the per-shard schedulers' two-phase commit).
-	serial := len(pregate) > 0
-	er, epochs := r.(EpochRouter)
-	if epochs {
-		epochs = er.EpochsEnabled()
-	}
+	var pregate []int
+	serial := false
 	backoff := base.opts.RetryBackoff
 	restarts := 0
 	var scratch *restartScratch
@@ -596,18 +587,31 @@ func runShardedRetry(ctx context.Context, r Router, name string, fn MethodFunc, 
 		}
 	}()
 	for attempt := 0; ; attempt++ {
+		// The admit span opens before anything else the attempt does, and
+		// the attempt takes it over, as runOnce does from runRetry. The
+		// first attempt's span also covers resolving the touch set: that
+		// is real per-transaction work, and anything outside a span falls
+		// into an unmeasured gap.
+		sp := base.tr.StartSpan(obs.PhaseAdmit, 0, "", "")
+		if attempt == 0 && restarts == 0 {
+			pregate = pregateFor(r, touches)
+			// A declared object set runs serially under exclusive gates,
+			// while an undeclared transaction runs scheduled, and keeps the
+			// scheduled path across its discovery restarts (the learned
+			// set is then pre-gated around the per-shard schedulers'
+			// two-phase commit).
+			serial = len(pregate) > 0
+		}
 		if err := ctx.Err(); err != nil {
+			sp.EndWith("cancel")
 			return nil, err
 		}
 		var ret core.Value
 		var err error
-		switch {
-		case serial && epochs:
-			ret, err = runEpochOnce(ctx, er, name, fn, args, readOnly, pregate)
-		case serial:
-			ret, err = base.runSerialOnce(ctx, r, name, fn, args, readOnly, pregate)
-		default:
-			ret, err = base.runShardedOnce(ctx, r, name, fn, args, readOnly, pregate)
+		if serial {
+			ret, err = base.runSerialOnce(ctx, r, sp, name, fn, args, readOnly, pregate)
+		} else {
+			ret, err = base.runShardedOnce(ctx, r, sp, name, fn, args, readOnly, pregate)
 		}
 		if err == nil {
 			return ret, nil
@@ -639,7 +643,7 @@ func runShardedRetry(ctx context.Context, r Router, name string, fn MethodFunc, 
 		if !Retriable(err) || attempt >= base.opts.MaxRetries {
 			return nil, err
 		}
-		sp := base.tr.StartSpan(obs.PhaseRetryBackoff, base.backoffRing(), "", "")
+		sp = base.tr.StartSpan(obs.PhaseRetryBackoff, base.backoffRing(), "", "")
 		t := time.NewTimer(base.backoffDelay(backoff))
 		select {
 		case <-t.C:
@@ -691,16 +695,16 @@ func mergeShardSetsInto(dst, a, b []int) []int {
 
 // runShardedOnce is one attempt of a sharded transaction: the analogue of
 // runOnce with lazy shard joining and the shard-ordered two-phase commit.
-func (en *Engine) runShardedOnce(ctx context.Context, r Router, name string, fn MethodFunc, args []core.Value, readOnly bool, pregate []int) (core.Value, error) {
+// It takes over the admit span runShardedRetry opened.
+func (en *Engine) runShardedOnce(ctx context.Context, r Router, sp obs.Span, name string, fn MethodFunc, args []core.Value, readOnly bool, pregate []int) (core.Value, error) {
 	id := en.allocTop()
 	defer en.releaseTop(id)
 	tr := en.tr
-	sp := tr.StartSpan(obs.PhaseAdmit, ringKey(id), "", "")
 	if tr != nil {
 		// The exec key is formatted inside the admit span, not before it:
 		// the cost is real work of this attempt and must not fall into an
 		// unmeasured gap (the phases partition the attempt's wall time).
-		sp = sp.WithExec(id.Key())
+		sp = sp.WithExecRing(id.Key(), ringKey(id))
 	}
 	st := newShardedExec(r, false)
 	e, cs := &st.e, &st.cs
@@ -962,7 +966,7 @@ func publishCommitSharded(e *Exec) {
 	}
 	topKey := e.topKey()
 	for en, list := range byEng {
-		en.publishObjects(topKey, list, nil)
+		en.publishObjects(topKey, list)
 	}
 }
 

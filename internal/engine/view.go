@@ -261,31 +261,22 @@ func (en *Engine) publishCommit(e *Exec) {
 	if len(objs) == 0 {
 		return
 	}
-	en.publishObjects(e.topKey(), objs, nil)
+	en.publishObjects(e.topKey(), objs)
 }
 
 // publishObjects sequences and captures the given committed objects under
 // this engine's publication counter; the per-engine half of publishCommit,
 // shared with the cross-shard commit path (which groups a transaction's
-// touched objects by home engine first) and the epoch flusher. batchKeys,
-// non-nil only on the epoch path, lists per object the further committed
-// batch members whose pending marks the capture retires alongside topKey:
-// a whole epoch publishes as one sequence number per engine, so the
-// group commit costs one watermark round no matter how many transactions
-// it carried.
-func (en *Engine) publishObjects(topKey string, objs []*Object, batchKeys [][]string) {
+// touched objects by home engine first).
+func (en *Engine) publishObjects(topKey string, objs []*Object) {
 	ordAcquire(ordRankPub, "pubMu")
 	en.pubMu.Lock()
 	en.pubNext++
 	seq := en.pubNext
 	ordRelease(ordRankPub, "pubMu")
 	en.pubMu.Unlock()
-	for i, o := range objs {
-		var more []string
-		if batchKeys != nil {
-			more = batchKeys[i]
-		}
-		o.publishVersion(topKey, more, seq)
+	for _, o := range objs {
+		o.publishVersion(topKey, seq)
 	}
 	ordAcquire(ordRankPub, "pubMu")
 	en.pubMu.Lock()

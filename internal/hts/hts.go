@@ -4,20 +4,20 @@
 // A hierarchical timestamp hts(e) has the form (a1, a2, ..., ak) where
 // (a1, ..., a(k-1)) is the parent's timestamp; timestamps are totally
 // ordered lexicographically (with a proper prefix preceding its
-// extensions). The paper's implementation sketch — a per-execution counter
-// whose atomic Increment numbers the children, plus an environment counter
-// that numbers top-level transactions in start order — is exactly what
-// Assigner provides.
+// extensions).
 //
 // In this repository an execution's ExecID is its path of child indices, so
-// the ID is the timestamp; this package supplies the ordering, the
-// generation discipline, and the bookkeeping NTO needs (per-operation
-// maximum timestamps with the paper's garbage-collection rule).
+// the ID is the timestamp. The engine generates them as the paper's
+// implementation sketch does: an environment counter numbers top-level
+// transactions in start order, and a per-execution counter whose atomic
+// increment numbers the children (serially issued messages get ordered
+// timestamps, parallel ones unique ones). This package supplies the
+// ordering and the bookkeeping NTO needs (per-operation maximum timestamps
+// with the paper's garbage-collection rule).
 package hts
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"objectbase/internal/core"
 )
@@ -28,56 +28,6 @@ type HTS = core.ExecID
 // Less reports a < b in the lexicographic order of Section 5.2 (a proper
 // prefix precedes its extensions).
 func Less(a, b HTS) bool { return a.Compare(b) < 0 }
-
-// Assigner hands out hierarchical timestamps satisfying both NTO
-// disciplines:
-//
-//   - rule 2's implementation: each execution carries a counter; a child
-//     created by the i-th Increment gets timestamp (hts(parent), i), so
-//     serially issued messages get ordered timestamps while parallel
-//     messages get unique ones;
-//   - the environment counter assigns top-level timestamps so that if e
-//     terminates before e' begins then hts(e) < hts(e') (needed for the
-//     step-based variant's garbage collection).
-type Assigner struct {
-	top      atomic.Int32
-	mu       sync.Mutex
-	counters map[string]*int32
-}
-
-// NewAssigner returns a fresh assigner.
-func NewAssigner() *Assigner {
-	return &Assigner{counters: make(map[string]*int32)}
-}
-
-// NextTop returns the timestamp for the next top-level transaction.
-func (a *Assigner) NextTop() HTS {
-	n := a.top.Add(1) - 1
-	return core.RootID(n)
-}
-
-// NextChild returns the timestamp for the next child of parent
-// (Increment(ctr_e) in the paper's sketch).
-func (a *Assigner) NextChild(parent HTS) HTS {
-	a.mu.Lock()
-	ctr := a.counters[parent.Key()]
-	if ctr == nil {
-		ctr = new(int32)
-		a.counters[parent.Key()] = ctr
-	}
-	k := *ctr
-	*ctr++
-	a.mu.Unlock()
-	return parent.Child(k)
-}
-
-// Forget drops the counter of a finished execution (housekeeping only; IDs
-// remain unique because a parent never reuses an index).
-func (a *Assigner) Forget(e HTS) {
-	a.mu.Lock()
-	delete(a.counters, e.Key())
-	a.mu.Unlock()
-}
 
 // IssueTable is the bookkeeping behind NTO rule 1 ("if t conflicts with t'
 // and t < t' then hts(e) < hts(e')"), covering both of the paper's

@@ -2,62 +2,12 @@ package hts
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
 	"objectbase/internal/core"
 	"objectbase/internal/objects"
 )
-
-func TestAssignerTopOrder(t *testing.T) {
-	a := NewAssigner()
-	t0 := a.NextTop()
-	t1 := a.NextTop()
-	if !Less(t0, t1) {
-		t.Fatalf("top-level timestamps must be issued in order: %v vs %v", t0, t1)
-	}
-}
-
-func TestAssignerChildrenOrdered(t *testing.T) {
-	a := NewAssigner()
-	p := a.NextTop()
-	c0 := a.NextChild(p)
-	c1 := a.NextChild(p)
-	if !Less(c0, c1) {
-		t.Fatalf("serially issued children must be ordered: %v vs %v", c0, c1)
-	}
-	if !Less(p, c0) {
-		t.Fatalf("parent precedes child: %v vs %v", p, c0)
-	}
-	if !p.IsProperAncestorOf(c0) || !p.IsProperAncestorOf(c1) {
-		t.Fatalf("children must extend the parent path")
-	}
-}
-
-func TestAssignerParallelUnique(t *testing.T) {
-	a := NewAssigner()
-	p := a.NextTop()
-	const n = 100
-	var wg sync.WaitGroup
-	out := make([]HTS, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = a.NextChild(p)
-		}(i)
-	}
-	wg.Wait()
-	seen := make(map[string]bool, n)
-	for _, ts := range out {
-		if seen[ts.Key()] {
-			t.Fatalf("duplicate timestamp %v", ts)
-		}
-		seen[ts.Key()] = true
-	}
-	a.Forget(p)
-}
 
 func regStep(op, v string, x int64) core.StepInfo {
 	if op == "Read" {
@@ -69,10 +19,9 @@ func regStep(op, v string, x int64) core.StepInfo {
 func TestIssueTableRule1Conservative(t *testing.T) {
 	tbl := NewIssueTable()
 	rel := objects.Register().Conflicts
-	a := NewAssigner()
-	t0 := a.NextTop()
-	t1 := a.NextTop()
-	t2 := a.NextTop()
+	t0 := core.RootID(0)
+	t1 := core.RootID(1)
+	t2 := core.RootID(2)
 
 	if !tbl.TryIssue("A", rel, false, regStep("Write", "x", 1), t1) {
 		t.Fatalf("empty table must admit")
@@ -94,7 +43,7 @@ func TestIssueTableRule1Conservative(t *testing.T) {
 		t.Fatalf("read/read must not be ordered by rule 1 (reads commute)")
 	}
 	// Descendant of the recorded writer is comparable: admitted.
-	c := a.NextChild(t1)
+	c := t1.Child(0)
 	if !tbl.TryIssue("A", rel, false, regStep("Read", "x", 0), c) {
 		t.Fatalf("descendant of issuer must pass (comparable executions)")
 	}

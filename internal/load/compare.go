@@ -23,11 +23,7 @@ import (
 // so a traced cell must never gate against an untraced baseline — and
 // keeping the flag out of untraced keys lets reports from before
 // tracing (no "trace" field, and no "phases" block; both optional)
-// compare cleanly against today's untraced cells. The epoch policy
-// follows the same rule: it joins the key only when set, so reports
-// from before the epoch knob diff cleanly against today's epoch-less
-// cells, and an epoch cell never gates against a per-transaction
-// baseline.
+// compare cleanly against today's untraced cells.
 func (r *Result) CellKey() string {
 	shards := r.Shards
 	if shards == 0 {
@@ -37,12 +33,8 @@ func (r *Result) CellKey() string {
 	if r.Trace {
 		trace = " trace=true"
 	}
-	epoch := ""
-	if r.Epoch != "" {
-		epoch = " epoch=" + r.Epoch
-	}
-	return fmt.Sprintf("%s×%s hist=%s view=%t shards=%d%s%s %s c=%d t=%d d=%d k=%d θ=%g rf=%g rate=%g seed=%d",
-		r.Scenario, r.Scheduler, r.History, r.View, shards, epoch, trace, r.Mode,
+	return fmt.Sprintf("%s×%s hist=%s view=%t shards=%d%s %s c=%d t=%d d=%d k=%d θ=%g rf=%g rate=%g seed=%d",
+		r.Scenario, r.Scheduler, r.History, r.View, shards, trace, r.Mode,
 		r.Clients, r.Txns, r.DurationNS, r.Keys, r.Theta, r.ReadFraction, r.TargetRate, r.Seed)
 }
 

@@ -117,40 +117,6 @@ func TestCompareMismatchedKnobCells(t *testing.T) {
 	}
 }
 
-// TestCompareEpochCells: the "epoch" field joins the cell key only when
-// set, so (a) a pre-epoch baseline still matches a head report whose
-// runs never set the knob, and (b) epoch cells match only cells of the
-// same policy — a batched run never gates against the per-txn baseline.
-func TestCompareEpochCells(t *testing.T) {
-	plain := cell("bank", "n2pl-op", 1, 100_000)
-	if strings.Contains(plain.CellKey(), "epoch") {
-		t.Fatalf("epoch-less cell key mentions epoch: %s", plain.CellKey())
-	}
-	epoch := cell("bank", "n2pl-op", 1, 100_000)
-	epoch.Epoch = "50us:16"
-	serial := cell("bank", "n2pl-op", 1, 100_000)
-	serial.Epoch = "serial"
-	if epoch.CellKey() == serial.CellKey() || epoch.CellKey() == plain.CellKey() {
-		t.Fatalf("epoch policies collapsed into one cell key: %s", epoch.CellKey())
-	}
-	base := reportWith(cell("bank", "n2pl-op", 1, 100_000))
-	headEpoch := cell("bank", "n2pl-op", 1, 10_000)
-	headEpoch.Epoch = "50us:16"
-	head := reportWith(cell("bank", "n2pl-op", 1, 95_000), headEpoch)
-	cmp, err := Compare(base, head, 0.30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The slow epoch cell is head-only (reported, not gated); the
-	// pre-epoch cell pair still matches and passes.
-	if len(cmp.Cells) != 1 {
-		t.Fatalf("matched %d cells, want 1 (the epoch-less pair)", len(cmp.Cells))
-	}
-	if regs := cmp.Regressions(); len(regs) != 0 {
-		t.Fatalf("unexpected regressions: %+v", regs)
-	}
-}
-
 // TestCompareGateFailsOnInjectedRegression is the end-to-end
 // demonstration the CI gate relies on: take the committed
 // BENCH_load.json, halve every throughput, and check the gate trips.

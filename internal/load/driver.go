@@ -96,9 +96,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if k.Shards > 1 {
 		openOpts = append(openOpts, objectbase.WithShards(k.Shards))
 	}
-	if w, b, on, _ := k.epochParams(); on { // validate already rejected bad specs
-		openOpts = append(openOpts, objectbase.WithEpochs(w, b))
-	}
 	if opts.Trace {
 		openOpts = append(openOpts, objectbase.WithTracing())
 	}

@@ -22,9 +22,6 @@ type FlagConfig struct {
 	// View is the -view value: route read-only transactions through the
 	// snapshot fast path.
 	View bool
-	// Epoch is the -epoch value: a comma list of epoch group-commit
-	// policies (off, serial, or WINDOW[:BATCH] — see Knobs.Epoch).
-	Epoch string
 }
 
 // MatrixSpec is a validated FlagConfig: the dimensions of the run
@@ -38,8 +35,6 @@ type MatrixSpec struct {
 	Verify string
 	// View mirrors FlagConfig.View.
 	View bool
-	// EpochPolicies is the deduplicated -epoch list, in flag order.
-	EpochPolicies []string
 }
 
 // Validate checks the flag combination as a whole and returns every
@@ -94,27 +89,6 @@ func (c FlagConfig) Validate() (MatrixSpec, []error) {
 	}
 	if len(spec.HistoryModes) > 0 && !canVerify && c.Verify != "none" {
 		errs = append(errs, fmt.Errorf("-history off records nothing the oracle could check; pass -verify none (or -history auto/full)"))
-	}
-
-	epochs := c.Epoch
-	if epochs == "" {
-		epochs = "off"
-	}
-	for _, e := range strings.Split(epochs, ",") {
-		e = strings.TrimSpace(e)
-		// Batch defaults to Clients at run time; a placeholder of 1 is
-		// enough to vet the spec's format here.
-		if _, _, _, err := (Knobs{Epoch: e, Clients: 1}).epochParams(); err != nil {
-			errs = append(errs, fmt.Errorf("bad -epoch entry %q (want off, serial, or WINDOW[:BATCH], e.g. 100us:16)", e))
-			continue
-		}
-		dup := false
-		for _, seen := range spec.EpochPolicies {
-			dup = dup || seen == e
-		}
-		if !dup {
-			spec.EpochPolicies = append(spec.EpochPolicies, e)
-		}
 	}
 
 	return spec, errs

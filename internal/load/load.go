@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -86,21 +84,6 @@ type Knobs struct {
 	// transactions whose declared object set (Op.Objects) spans shards
 	// run the cross-shard commit protocol.
 	Shards int
-	// Epoch selects the epoch group-commit policy for declared-set
-	// transactions (objectbase.WithEpochs):
-	//
-	//   ""/"off"        no epochs (the per-transaction paths, default);
-	//   "serial"        WithEpochs(0, 1) — the degenerate policy that
-	//                   forces the sharded runtime but keeps the per-txn
-	//                   serial fast path, i.e. the honest baseline for
-	//                   epoch comparisons;
-	//   "WINDOW[:N]"    collect for at most WINDOW (a Go duration, e.g.
-	//                   100us) flushing early at N queued transactions;
-	//                   N defaults to Clients.
-	//
-	// The op streams are unchanged, so determinism per (knobs, seed,
-	// client) is preserved; only commit grouping differs.
-	Epoch string
 }
 
 // global fallbacks applied after the scenario's own defaults.
@@ -149,14 +132,6 @@ func (k Knobs) withDefaults(d Knobs) Knobs {
 	if k.Shards == 0 {
 		k.Shards = 1
 	}
-	if k.Epoch == "" {
-		k.Epoch = d.Epoch
-	}
-	if k.Epoch == "off" {
-		// Normalised away so cell keys (and reports from before the epoch
-		// knob) never carry an explicit "off".
-		k.Epoch = ""
-	}
 	return k
 }
 
@@ -179,37 +154,7 @@ func (k Knobs) validate() error {
 	case k.Shards < 1:
 		return fmt.Errorf("load: Shards = %d, want >= 1", k.Shards)
 	}
-	if _, _, _, err := k.epochParams(); err != nil {
-		return err
-	}
 	return nil
-}
-
-// epochParams resolves the Epoch knob into objectbase.WithEpochs
-// arguments; on is false when epochs are disabled. Call on resolved
-// knobs ("off" is already normalised to "", and the batch default needs
-// the resolved client count).
-func (k Knobs) epochParams() (window time.Duration, batch int, on bool, err error) {
-	spec := k.Epoch
-	if spec == "" || spec == "off" {
-		return 0, 0, false, nil
-	}
-	if spec == "serial" {
-		return 0, 1, true, nil
-	}
-	winPart, batchPart, hasBatch := strings.Cut(spec, ":")
-	window, err = time.ParseDuration(winPart)
-	if err != nil || window < 0 {
-		return 0, 0, false, fmt.Errorf("load: Epoch = %q, want off, serial, or WINDOW[:BATCH] (e.g. 100us:16)", spec)
-	}
-	batch = k.Clients
-	if hasBatch {
-		batch, err = strconv.Atoi(batchPart)
-		if err != nil || batch < 1 {
-			return 0, 0, false, fmt.Errorf("load: Epoch = %q, batch must be a positive integer", spec)
-		}
-	}
-	return window, batch, true, nil
 }
 
 // Op is one transaction of a scenario's op stream: the name labelling it

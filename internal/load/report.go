@@ -41,8 +41,6 @@ type Counters struct {
 	ViewFallbacks  int64 `json:"view_fallbacks"`
 	SerialRestarts int64 `json:"serial_restarts,omitempty"`
 	TwoPCRestarts  int64 `json:"twopc_restarts,omitempty"`
-	EpochCommits   int64 `json:"epoch_commits,omitempty"`
-	EpochFlushes   int64 `json:"epoch_flushes,omitempty"`
 }
 
 // PhaseStat is one phase's latency summary on a traced run, in
@@ -69,11 +67,10 @@ type Result struct {
 	Theta        float64 `json:"theta"`
 	ReadFraction float64 `json:"read_fraction"`
 	Seed         int64   `json:"seed"`
-	Mode         string  `json:"mode"`            // "closed" or "open"
-	History      string  `json:"history"`         // recording mode: "full" or "off"
-	View         bool    `json:"view"`            // read-only txns routed through DB.View
-	Shards       int     `json:"shards"`          // object-space partitions (1 = unsharded)
-	Epoch        string  `json:"epoch,omitempty"` // epoch group-commit policy ("" = off)
+	Mode         string  `json:"mode"`    // "closed" or "open"
+	History      string  `json:"history"` // recording mode: "full" or "off"
+	View         bool    `json:"view"`    // read-only txns routed through DB.View
+	Shards       int     `json:"shards"`  // object-space partitions (1 = unsharded)
 	Trace        bool    `json:"trace,omitempty"`
 	TargetRate   float64 `json:"target_rate,omitempty"`
 
@@ -123,7 +120,6 @@ func newResult(sc *Scenario, scheduler string, k Knobs, rec *Recorder, elapsed t
 		Mode:         mode,
 		View:         k.UseView,
 		Shards:       k.Shards,
-		Epoch:        k.Epoch,
 		TargetRate:   k.Rate,
 		Ops:          rec.Ops,
 		Errors:       rec.Errors,
@@ -148,8 +144,6 @@ func newResult(sc *Scenario, scheduler string, k Knobs, rec *Recorder, elapsed t
 			ViewFallbacks:  st.ViewFallbacks,
 			SerialRestarts: st.SerialRestarts,
 			TwoPCRestarts:  st.TwoPCRestarts,
-			EpochCommits:   st.EpochCommits,
-			EpochFlushes:   st.EpochFlushes,
 		},
 		ByName: rec.ByName,
 	}
@@ -220,10 +214,7 @@ func (rp *Report) Add(r *Result) {
 		if rp.Results[i].View != rp.Results[j].View {
 			return !rp.Results[i].View
 		}
-		if rp.Results[i].Shards != rp.Results[j].Shards {
-			return rp.Results[i].Shards < rp.Results[j].Shards
-		}
-		return rp.Results[i].Epoch < rp.Results[j].Epoch
+		return rp.Results[i].Shards < rp.Results[j].Shards
 	})
 }
 
@@ -246,12 +237,12 @@ func ReadReport(r io.Reader) (*Report, error) {
 	return &rp, nil
 }
 
-// Table writes the human-readable matrix. The lock-wait, publish and
-// epoch-wait columns come from the phases block of traced cells;
-// untraced cells show "-".
+// Table writes the human-readable matrix. The lock-wait and publish
+// columns come from the phases block of traced cells; untraced cells
+// show "-".
 func (rp *Report) Table(w io.Writer) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "SCENARIO\tSCHED\tMODE\tHIST\tVIEW\tSHARDS\tEPOCH\tCLIENTS\tOPS\tERR\tTXN/S\tP50\tP95\tP99\tMAX\tLKW-P50\tLKW-P99\tPUB-P50\tPUB-P99\tEPW-P50\tEPW-P99\tRETRIES\tVERIFIED")
+	fmt.Fprintln(tw, "SCENARIO\tSCHED\tMODE\tHIST\tVIEW\tSHARDS\tCLIENTS\tOPS\tERR\tTXN/S\tP50\tP95\tP99\tMAX\tLKW-P50\tLKW-P99\tPUB-P50\tPUB-P99\tRETRIES\tVERIFIED")
 	for i := range rp.Results {
 		r := &rp.Results[i]
 		verified := "-"
@@ -274,10 +265,6 @@ func (rp *Report) Table(w io.Writer) {
 		if shards == 0 {
 			shards = 1 // pre-sharding reports
 		}
-		epoch := r.Epoch
-		if epoch == "" {
-			epoch = "-"
-		}
 		phase := func(name string, q func(PhaseStat) int64) string {
 			ps, ok := r.Phases[name]
 			if !ok {
@@ -287,11 +274,10 @@ func (rp *Report) Table(w io.Writer) {
 		}
 		p50 := func(ps PhaseStat) int64 { return ps.P50 }
 		p99 := func(ps PhaseStat) int64 { return ps.P99 }
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%d\t%s\t%d\t%d\t%d\t%.0f\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%s\n",
-			r.Scenario, r.Scheduler, r.Mode, hist, view, shards, epoch, r.Clients, r.Ops, r.Errors, r.Throughput,
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%.0f\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%s\n",
+			r.Scenario, r.Scheduler, r.Mode, hist, view, shards, r.Clients, r.Ops, r.Errors, r.Throughput,
 			fdur(r.Latency.P50), fdur(r.Latency.P95), fdur(r.Latency.P99), fdur(r.Latency.Max),
 			phase("lock-wait", p50), phase("lock-wait", p99), phase("publish", p50), phase("publish", p99),
-			phase("epoch-wait", p50), phase("epoch-wait", p99),
 			r.Counters.Retries, verified)
 	}
 	tw.Flush()

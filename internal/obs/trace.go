@@ -55,17 +55,6 @@ const (
 	// PhaseTwoPCRestart marks a cross-shard attempt restarting 2PC
 	// after discovering new shards (instant).
 	PhaseTwoPCRestart
-	// PhaseEpochWait covers a declared-set transaction parked in a
-	// per-shard epoch accumulator: enqueue to outcome, including its
-	// share of the batch's gated execution. On the epoch path the
-	// attempt's wall time is exactly admit + epoch-wait, so the phase is
-	// part of the exclusive partition.
-	PhaseEpochWait
-	// PhaseEpochFlush covers one epoch flush on the flusher's own
-	// timeline: gate acquisition, the whole batch's execution, and the
-	// per-engine publication round. It overlaps the members' epoch-wait
-	// spans and is excluded from the partition.
-	PhaseEpochFlush
 
 	// NumPhases is the number of phases (array sizing).
 	NumPhases
@@ -83,8 +72,6 @@ var phaseNames = [NumPhases]string{
 	"gate-wait",
 	"serial-restart",
 	"2pc-restart",
-	"epoch-wait",
-	"epoch-flush",
 }
 
 func (p Phase) String() string {
@@ -110,7 +97,7 @@ func PhaseByName(name string) (Phase, bool) {
 func (p Phase) Exclusive() bool {
 	switch p {
 	case PhaseAdmit, PhaseScheduleWait, PhaseExecute, PhaseCommitBarrier,
-		PhasePublish, PhaseRetryBackoff, PhaseEpochWait:
+		PhasePublish, PhaseRetryBackoff:
 		return true
 	}
 	return false

@@ -36,11 +36,6 @@ type Space struct {
 	// fast path stays span-free when gates are free).
 	tr        *obs.Tracer
 	gateNames []string // "gate-<s>", precomputed so spans allocate nothing
-
-	// epochs/accums, when set (EnableEpochs), batch declared-set
-	// transactions through per-shard epoch accumulators — see epoch.go.
-	epochs *epochConfig
-	accums []epochAccum
 }
 
 // NewSpace returns a space over the given engines (one per shard, index =

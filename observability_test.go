@@ -40,8 +40,6 @@ var statsMetricName = map[string]string{
 	"ViewFallbacks":  "view_fallbacks",
 	"SerialRestarts": "serial_restarts",
 	"TwoPCRestarts":  "twopc_restarts",
-	"EpochCommits":   "epoch_commits",
-	"EpochFlushes":   "epoch_flushes",
 }
 
 // TestMetricsStatsParity hammers a sharded, tracing DB with declared,
@@ -139,6 +137,28 @@ func TestMetricsStatsParity(t *testing.T) {
 	}
 }
 
+// TestStatsSubCoversEveryField: Stats.Sub lists its fields by hand, so a
+// field added to Stats but not to Sub would silently read zero in every
+// measurement window. Give every field a distinct value on both sides and
+// require each difference back.
+func TestStatsSubCoversEveryField(t *testing.T) {
+	var cur, prev objectbase.Stats
+	cv, pv := reflect.ValueOf(&cur).Elem(), reflect.ValueOf(&prev).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		if k := cv.Field(i).Kind(); k != reflect.Int64 {
+			t.Fatalf("Stats.%s is %s, not int64: extend Sub and this test", cv.Type().Field(i).Name, k)
+		}
+		cv.Field(i).SetInt(int64(1000 * (i + 1)))
+		pv.Field(i).SetInt(int64(i + 1))
+	}
+	dv := reflect.ValueOf(cur.Sub(prev))
+	for i := 0; i < dv.NumField(); i++ {
+		if got, want := dv.Field(i).Int(), int64(999*(i+1)); got != want {
+			t.Errorf("Sub: %s = %d, want %d", dv.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
 // TestCertifierGauges: under the modular scheduler the registry carries
 // the certifier's and the dependency tracker's bookkeeping gauges — live
 // values while a transaction is open, zero once the DB is quiescent, and
@@ -198,10 +218,12 @@ func TestCertifierGauges(t *testing.T) {
 	}
 }
 
-// TestTraceReconciliation drives the traced hotspot-counter × n2pl-op
-// cell and checks the flight recorder's core invariant: the exclusive
-// phases partition each attempt's wall time, so their summed totals must
-// reconcile with the driver's latency histogram within 5%.
+// TestTraceReconciliation drives traced hotspot-counter × n2pl-op cells
+// and checks the flight recorder's core invariant: the exclusive phases
+// partition each attempt's wall time, so their summed totals must
+// reconcile with the driver's latency histogram within 5%. The unsharded
+// cell runs the scheduled path; the 8-shard cell runs the scenario's
+// declared op stream down the serial fast path.
 //
 // The measurement is retried up to three times: on a loaded (or
 // single-core) machine one scheduler preemption landing in the few
@@ -214,101 +236,64 @@ func TestTraceReconciliation(t *testing.T) {
 	if !ok {
 		t.Fatal("hotspot-counter scenario not registered")
 	}
-	var fracs []float64
-	for attempt := 0; attempt < 3; attempt++ {
-		res, err := load.Run(context.Background(), load.Options{
-			Scenario:  sc,
-			Scheduler: "n2pl-op",
-			Trace:     true,
-			Knobs:     load.Knobs{Clients: 16, Txns: 300, Seed: int64(11 + attempt)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Errors != 0 {
-			// Failed transactions appear in the phase totals but not in the
-			// latency histogram, which would skew the reconciliation.
-			t.Fatalf("expected a clean commuting run, got %d errors", res.Errors)
-		}
-		if !res.Trace || len(res.Phases) == 0 {
-			t.Fatalf("traced run carried no phases block: %+v", res.Phases)
-		}
-		if len(res.Spans) == 0 {
-			t.Fatal("traced run drained no spans")
-		}
-		if res.Phases["admit"].Count != res.Ops {
-			t.Fatalf("admit count %d, want one per transaction (%d)", res.Phases["admit"].Count, res.Ops)
-		}
+	for _, tc := range []struct {
+		name   string
+		shards int
+		seed   int64
+	}{
+		{"unsharded", 1, 11},
+		{"shards-8", 8, 23},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fracs []float64
+			for attempt := 0; attempt < 3; attempt++ {
+				res, err := load.Run(context.Background(), load.Options{
+					Scenario:  sc,
+					Scheduler: "n2pl-op",
+					Trace:     true,
+					Knobs:     load.Knobs{Clients: 16, Txns: 300, Shards: tc.shards, Seed: tc.seed + int64(attempt)},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Errors != 0 {
+					// Failed transactions appear in the phase totals but not
+					// in the latency histogram, which would skew the
+					// reconciliation.
+					t.Fatalf("expected a clean commuting run, got %d errors", res.Errors)
+				}
+				if !res.Trace || len(res.Phases) == 0 {
+					t.Fatalf("traced run carried no phases block: %+v", res.Phases)
+				}
+				if len(res.Spans) == 0 {
+					t.Fatal("traced run drained no spans")
+				}
+				if res.Phases["admit"].Count != res.Ops {
+					t.Fatalf("admit count %d, want one per transaction (%d)", res.Phases["admit"].Count, res.Ops)
+				}
 
-		var phaseSum int64
-		for _, name := range []string{"admit", "schedule-wait", "execute", "commit-barrier", "publish", "retry-backoff"} {
-			phaseSum += res.Phases[name].TotalNS
-		}
-		latSum := res.Latency.Mean * (res.Ops - res.Errors)
-		if latSum <= 0 {
-			t.Fatalf("degenerate latency sum %d", latSum)
-		}
-		diff := phaseSum - latSum
-		if diff < 0 {
-			diff = -diff
-		}
-		frac := float64(diff) / float64(latSum)
-		if frac <= 0.05 {
-			return
-		}
-		fracs = append(fracs, frac)
-	}
-	t.Errorf("exclusive phase sums never reconciled with the latency sum within 5%%: off by %.1f%%, %.1f%%, %.1f%% across three runs",
-		fracs[0]*100, fracs[1]*100, fracs[2]*100)
-}
-
-// TestTraceReconciliationEpochs re-checks the partition invariant with
-// epoch group commit enabled: a batched attempt's wall time is exactly
-// admit + epoch-wait (the flusher's epoch-flush spans overlap the
-// members' waits and are deliberately non-exclusive), so the exclusive
-// sums must still reconcile with the latency histogram within 5%.
-func TestTraceReconciliationEpochs(t *testing.T) {
-	sc, ok := load.Get("hotspot-counter")
-	if !ok {
-		t.Fatal("hotspot-counter scenario not registered")
-	}
-	var fracs []float64
-	for attempt := 0; attempt < 3; attempt++ {
-		res, err := load.Run(context.Background(), load.Options{
-			Scenario:  sc,
-			Scheduler: "n2pl-op",
-			Trace:     true,
-			Knobs:     load.Knobs{Clients: 16, Txns: 300, Seed: int64(23 + attempt), Epoch: "100us:16"},
+				var phaseSum int64
+				for _, name := range []string{"admit", "schedule-wait", "execute", "commit-barrier", "publish", "retry-backoff"} {
+					phaseSum += res.Phases[name].TotalNS
+				}
+				latSum := res.Latency.Mean * (res.Ops - res.Errors)
+				if latSum <= 0 {
+					t.Fatalf("degenerate latency sum %d", latSum)
+				}
+				diff := phaseSum - latSum
+				if diff < 0 {
+					diff = -diff
+				}
+				frac := float64(diff) / float64(latSum)
+				if frac <= 0.05 {
+					return
+				}
+				fracs = append(fracs, frac)
+			}
+			t.Errorf("exclusive phase sums never reconciled with the latency sum within 5%%: off by %.1f%%, %.1f%%, %.1f%% across three runs",
+				fracs[0]*100, fracs[1]*100, fracs[2]*100)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Errors != 0 {
-			t.Fatalf("expected a clean commuting run, got %d errors", res.Errors)
-		}
-		if res.Phases["epoch-wait"].Count == 0 {
-			t.Fatal("epoch cell recorded no epoch-wait phases")
-		}
-		var phaseSum int64
-		for _, name := range []string{"admit", "epoch-wait", "schedule-wait", "execute", "commit-barrier", "publish", "retry-backoff"} {
-			phaseSum += res.Phases[name].TotalNS
-		}
-		latSum := res.Latency.Mean * (res.Ops - res.Errors)
-		if latSum <= 0 {
-			t.Fatalf("degenerate latency sum %d", latSum)
-		}
-		diff := phaseSum - latSum
-		if diff < 0 {
-			diff = -diff
-		}
-		frac := float64(diff) / float64(latSum)
-		if frac <= 0.05 {
-			return
-		}
-		fracs = append(fracs, frac)
 	}
-	t.Errorf("epoch-mode exclusive phase sums never reconciled with the latency sum within 5%%: off by %.1f%%, %.1f%%, %.1f%% across three runs",
-		fracs[0]*100, fracs[1]*100, fracs[2]*100)
 }
 
 // TestDebugServerEndToEnd opens a DB with the live introspection server

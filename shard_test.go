@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"objectbase"
+	"objectbase/internal/load"
 )
 
 // shardBank registers n accounts (each with its four methods) on db.
@@ -57,11 +58,13 @@ func transferBody(from, to string, amount int64) objectbase.MethodFunc {
 }
 
 // TestShardedBankHammerAllSchedulers drives concurrent cross-shard
-// transfers — half with the object set declared up front, half through
-// optimistic shard discovery — under every scheduler, then checks money
-// conservation and runs the oracle on the stitched history. Run with
-// -race (CI does), this is also the data-race hammer for the cross-shard
-// protocol.
+// traffic under every scheduler on one versioned DB: transfers with the
+// object set declared up front (the serial fast path), transfers through
+// optimistic shard discovery (the scheduled path), and View audits of the
+// total. Every audit, live and at quiescence, must see the money
+// conserved, and the oracle runs on the stitched history. Run with -race
+// (CI does), this is also the data-race hammer for the cross-shard
+// protocol and for mixed declared, undeclared and view traffic.
 func TestShardedBankHammerAllSchedulers(t *testing.T) {
 	const (
 		accounts = 13 // coprime with the shard count, spreads unevenly
@@ -71,7 +74,7 @@ func TestShardedBankHammerAllSchedulers(t *testing.T) {
 	)
 	for _, sched := range objectbase.Schedulers() {
 		t.Run(sched, func(t *testing.T) {
-			db, err := objectbase.Open(objectbase.WithScheduler(sched), objectbase.WithShards(shards))
+			db, err := objectbase.Open(objectbase.WithScheduler(sched), objectbase.WithShards(shards), objectbase.WithReadOnly())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,6 +83,17 @@ func TestShardedBankHammerAllSchedulers(t *testing.T) {
 			}
 			shardBank(t, db, accounts, 1000)
 			ctx := context.Background()
+			audit := func(c *objectbase.Ctx) (objectbase.Value, error) {
+				total := int64(0)
+				for i := 0; i < accounts; i++ {
+					v, err := c.Call(fmt.Sprintf("acct%d", i), "balance")
+					if err != nil {
+						return nil, err
+					}
+					total += v.(int64)
+				}
+				return total, nil
+			}
 			var wg sync.WaitGroup
 			errCh := make(chan error, clients)
 			for c := 0; c < clients; c++ {
@@ -94,9 +108,18 @@ func TestShardedBankHammerAllSchedulers(t *testing.T) {
 							to = fmt.Sprintf("acct%d", (r.Intn(accounts-1)+1+c)%accounts)
 						}
 						var err error
-						if i%2 == 0 {
+						switch {
+						case i == 10+c:
+							// One audit per client, staggered so the
+							// views overlap transfers still in flight.
+							var v objectbase.Value
+							v, err = db.View(ctx, "audit", audit)
+							if err == nil && v.(int64) != accounts*1000 {
+								err = fmt.Errorf("view audit saw total %d, want %d", v, accounts*1000)
+							}
+						case i%2 == 0:
 							_, err = db.ExecTouching(ctx, "transfer", []string{from, to}, transferBody(from, to, int64(1+r.Intn(5))))
-						} else {
+						default:
 							_, err = db.Exec(ctx, "transfer", transferBody(from, to, int64(1+r.Intn(5))))
 						}
 						if err != nil {
@@ -112,17 +135,11 @@ func TestShardedBankHammerAllSchedulers(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			total := int64(0)
-			for i := 0; i < accounts; i++ {
-				v, err := db.Exec(ctx, "audit", func(c *objectbase.Ctx) (objectbase.Value, error) {
-					return c.Call(fmt.Sprintf("acct%d", i), "balance")
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				total += v.(int64)
+			total, err := db.Exec(ctx, "audit", audit)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if total != accounts*1000 {
+			if total.(int64) != accounts*1000 {
 				t.Fatalf("money not conserved: total = %d, want %d", total, accounts*1000)
 			}
 			// The oracle certifies the stitched history; "none" is the
@@ -136,11 +153,56 @@ func TestShardedBankHammerAllSchedulers(t *testing.T) {
 				}
 			}
 			st := db.Stats()
-			want := int64(clients*txns + accounts)
+			want := int64(clients*txns + 1)
 			if st.Commits != want {
 				t.Fatalf("Commits = %d, want %d", st.Commits, want)
 			}
+			if n := st.ViewCommits + st.ViewFallbacks; n != clients {
+				t.Fatalf("%d views ran (ViewCommits %d + ViewFallbacks %d), want %d", n, st.ViewCommits, st.ViewFallbacks, clients)
+			}
 		})
+	}
+}
+
+// TestSerialOracleAllSchedulers runs oracle-verified two-shard cells of
+// the bank and hotspot-counter load scenarios under every scheduler. Both
+// declare their object sets, so every transaction takes the serial fast
+// path, and the stitched history must certify exactly like a scheduled
+// run.
+func TestSerialOracleAllSchedulers(t *testing.T) {
+	for _, scenario := range []string{"bank", "hotspot-counter"} {
+		sc, ok := load.Get(scenario)
+		if !ok {
+			t.Fatalf("scenario %q not registered", scenario)
+		}
+		for _, sched := range objectbase.Schedulers() {
+			t.Run(scenario+"/"+sched, func(t *testing.T) {
+				res, err := load.Run(context.Background(), load.Options{
+					Scenario:  sc,
+					Scheduler: sched,
+					Verify:    true,
+					Knobs:     load.Knobs{Clients: 4, Txns: 40, Shards: 2, Seed: 7},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Errors != 0 {
+					t.Fatalf("%d transaction errors", res.Errors)
+				}
+				if res.Legal == nil || !*res.Legal {
+					t.Fatalf("history not legal: %s", res.Verdict)
+				}
+				// "none" is the anomaly control: it may legitimately
+				// produce non-serialisable histories, never illegal ones.
+				if res.Verified == nil || !*res.Verified {
+					if sched == "none" {
+						t.Logf("none control: %s", res.Verdict)
+					} else {
+						t.Fatalf("serial cell not serialisable: %s", res.Verdict)
+					}
+				}
+			})
+		}
 	}
 }
 
