@@ -104,3 +104,57 @@ func TestWithHistoryLimitValidation(t *testing.T) {
 		t.Fatal("want error for non-positive limit")
 	}
 }
+
+// TestCallerMayReuseArgSlice: Ctx.Do and Ctx.Call copy their arguments
+// into storage the execution owns, so a caller that overwrites its slice
+// once the transaction returned changes neither the recorded history nor
+// its verdict. (When the history kept the caller's backing array, the Do
+// form failed Verify — the replay of the committed step gave n=99 against
+// the recorded final n=5 — and the Call form recorded message args [99].)
+func TestCallerMayReuseArgSlice(t *testing.T) {
+	for _, form := range []string{"Do", "Call"} {
+		t.Run(form, func(t *testing.T) {
+			db := openCounter(t)
+			if err := db.RegisterMethod("c", "add", func(x *objectbase.Ctx) (objectbase.Value, error) {
+				return x.Do("c", "Add", x.Arg(0))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			args := []objectbase.Value{int64(5)}
+			if _, err := db.Exec(context.Background(), "T", func(x *objectbase.Ctx) (objectbase.Value, error) {
+				if form == "Do" {
+					return x.Do("c", "Add", args...)
+				}
+				return x.Call("c", "add", args...)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			args[0] = int64(99)
+			if _, err := db.Verify(); err != nil {
+				t.Fatalf("Verify after the caller reused its slice: %v", err)
+			}
+			h, err := db.History()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := 0
+			for _, msgs := range h.Messages {
+				for _, m := range msgs {
+					if m == nil || m.Method != "add" {
+						continue
+					}
+					sent++
+					if len(m.Args) != 1 || m.Args[0] != int64(5) {
+						t.Errorf("message %s.%s recorded args %v, want [5]", m.Object, m.Method, m.Args)
+					}
+				}
+			}
+			if want := map[string]int{"Do": 0, "Call": 1}[form]; sent != want {
+				t.Errorf("%d add messages recorded, want %d", sent, want)
+			}
+			if got := counterValue(t, db); got != 5 {
+				t.Errorf("counter = %d, want 5", got)
+			}
+		})
+	}
+}

@@ -74,7 +74,11 @@ type Engine struct {
 	// without writing shared memory (see registry).
 	reg registry
 
-	rec  HistoryObserver
+	rec HistoryObserver
+	// lend lets executions hand their inline id and argument buffers to
+	// rec: set unless rec is the full recorder, whose history outlives
+	// every Exec it names.
+	lend bool
 	deps *depTracker
 	tops *TopAllocator
 	tr   *obs.Tracer // nil when tracing is off
@@ -141,6 +145,7 @@ func New(sched Scheduler, opts Options) *Engine {
 		opts:    opts,
 		sched:   sched,
 		rec:     rec,
+		lend:    opts.Recording == RecordStats,
 		deps:    deps,
 		tops:    tops,
 		tr:      opts.Tracer,
@@ -339,17 +344,7 @@ func (en *Engine) runOnce(ctx context.Context, name string, fn MethodFunc, args 
 		// unmeasured gap (the phases partition the attempt's wall time).
 		sp = sp.WithExecRing(id.Key(), ringKey(id))
 	}
-	e := &Exec{
-		id:       id,
-		object:   core.EnvironmentObject,
-		method:   name,
-		args:     args,
-		eng:      en,
-		goctx:    ctx,
-		killCh:   make(chan struct{}),
-		readOnly: readOnly,
-	}
-	e.top = e
+	e := en.newTop(ctx, id, name, args, readOnly)
 	if err := en.rec.AddExec(e.id, e.object, e.method); err != nil {
 		sp.EndWith("abort")
 		return nil, historyAbort(e.id, err)
@@ -416,7 +411,7 @@ func (en *Engine) runOnce(ctx context.Context, name string, fn MethodFunc, args 
 // call implements Ctx.Call: create the child execution, run the method
 // body, commit or abort it.
 func (en *Engine) call(parent *Exec, lane int, object, method string, args []core.Value) (core.Value, error) {
-	if cs := parent.top.cross; cs != nil {
+	if cs := parent.txn.cross; cs != nil {
 		// Sharded space: route the message to the target object's home
 		// engine (snapshot views pin their single shard).
 		if cs.view {
@@ -424,7 +419,7 @@ func (en *Engine) call(parent *Exec, lane int, object, method string, args []cor
 		}
 		return crossCall(parent, lane, object, method, args)
 	}
-	if parent.top.snap != nil {
+	if parent.txn.snapshot {
 		// Snapshot transactions never enter the scheduler; their child
 		// method executions run against the same snapshot.
 		return en.viewCall(parent, lane, object, method, args)
@@ -434,23 +429,14 @@ func (en *Engine) call(parent *Exec, lane int, object, method string, args []cor
 		return nil, err
 	}
 
-	childID := parent.nextChildID()
-	msg, err := en.rec.StartMessage(parent.id, childID, lane, object, method, args)
+	child := newChild(en, parent, object, method, args)
+	msg, err := en.rec.StartMessage(parent.id, child.id, lane, object, method, child.args)
 	if err != nil {
 		return nil, historyAbort(parent.id, err)
 	}
-	child := &Exec{
-		id:     childID,
-		object: object,
-		method: method,
-		args:   args,
-		eng:    en,
-		parent: parent,
-		top:    parent.top,
-	}
-	if err := en.rec.AddExec(childID, object, method); err != nil {
+	if err := en.rec.AddExec(child.id, object, method); err != nil {
 		en.rec.EndMessage(msg, nil, true)
-		return nil, historyAbort(childID, err)
+		return nil, historyAbort(child.id, err)
 	}
 
 	if err := en.sched.Begin(child); err != nil {

@@ -9,7 +9,13 @@ import (
 	"objectbase/internal/core"
 )
 
-// Exec is the runtime state of one method execution.
+// Exec is the runtime state of one method execution. Outside the serial
+// path's pools (serial_run.go) every Exec is one allocation that is never
+// reused: it owns its identity and the arguments of its steps and
+// messages (idBuf, argBuf). The buffers are lent only where no history
+// outlives the transaction (Engine.lend): a full history would keep each
+// Exec, and through parent and top its whole tree, alive. State shared by
+// the whole transaction tree lives in txn.
 type Exec struct {
 	id     core.ExecID
 	object string
@@ -17,7 +23,8 @@ type Exec struct {
 	args   []core.Value
 	eng    *Engine
 	parent *Exec
-	top    *Exec // top-level ancestor (self for top-level executions)
+	top    *Exec     // top-level ancestor (self for top-level executions)
+	txn    *txnState // the tree's per-transaction state (shared with top)
 
 	mu   sync.Mutex
 	undo []undoEntry
@@ -37,52 +44,178 @@ type Exec struct {
 	// observer entirely.
 	childN atomic.Int32
 	laneN  atomic.Int32
+	// argN counts the argBuf slots reserved by ownArgs past the first
+	// argBase, which hold the execution's own arguments. Parallel lanes
+	// (and goroutines a body leaks) step concurrently, hence the atomic
+	// bump; argBase is written once, before the body runs, and set to
+	// len(argBuf) on executions that must never lend inline storage.
+	argN    atomic.Int32
+	argBase uint8
 
 	// SchedData is scheduler-private per-execution state (e.g. the
 	// certifier's access sets). Only the owning scheduler touches it.
 	SchedData interface{}
 
-	// readOnly marks a transaction tree that must not issue mutating
-	// steps: Ctx.Do classifies every operation against the schema and
-	// aborts with ErrReadOnlyWrite on a mutator. Set on top-level
-	// executions only (descendants reach it through top).
-	readOnly bool
-	// finished is set on a top-level execution just before the scheduler
-	// is told its commit or abort, and never cleared: from then on no step
-	// or message of the tree may run (rule 3 of N2PL past the lock
-	// manager's record of the tree, which the top-level finish retires).
-	finished atomic.Bool
-	// snap, when non-nil, switches the tree to snapshot execution: steps
-	// are served from committed object versions at snap.seq and neither
-	// the scheduler nor the lock manager is ever entered. Implies
-	// readOnly. Set on top-level executions only.
-	snap *viewSnap
-	// cross, when non-nil, marks a transaction running against a sharded
-	// object space: Do and Call route through the space's directory and
-	// the cross-shard protocol (see shard_run.go). Set on top-level
-	// executions only (descendants reach it through top).
-	cross *crossState
 	// recIn is the first engine recorder holding this execution's record
 	// (sharded runs only): the lock-free fast path of crossState.record.
 	// Executions replicated into further engines are tracked by the
 	// crossState map.
 	recIn atomic.Pointer[Engine]
 
-	// key caches id.Key() of a top-level execution: under versioning the
+	// argBuf backs the arguments of the execution's own invocation and of
+	// its first steps (Ctx.Do); idBuf backs the identity of a child at
+	// most len(idBuf) levels deep. Slices into them are capacity-limited,
+	// so no append can write into the buffers.
+	argBuf [2]core.Value
+	idBuf  [4]int32
+}
+
+// txnState is the state of one transaction tree, allocated once with its
+// top-level execution (topExec, shardedExec); every execution of the tree
+// points at it.
+type txnState struct {
+	// readOnly marks a transaction tree that must not issue mutating
+	// steps: Ctx.Do classifies every operation against the schema and
+	// aborts with ErrReadOnlyWrite on a mutator.
+	readOnly bool
+	// snapshot switches the tree to snapshot execution: steps are served
+	// from committed object versions at snap.seq and neither the scheduler
+	// nor the lock manager is ever entered. Implies readOnly. A sharded
+	// view routes through cross instead and sets only snap, when it pins
+	// its shard.
+	snapshot bool
+	// finished is set just before the scheduler is told the tree's commit
+	// or abort (and when a view attempt ends), and never cleared: from
+	// then on no step or message of the tree may run (rule 3 of N2PL past
+	// the lock manager's record of the tree, which the top-level finish
+	// retires).
+	finished atomic.Bool
+	// killed marks the tree for cascade abort; killCh, created on first
+	// use by KillCh, is closed when it is set. Both guarded by top.mu
+	// (killed is also read without it).
+	killed atomic.Bool
+	snap   viewSnap
+	// cross, when non-nil, marks a transaction running against a sharded
+	// object space: Do and Call route through the space's directory and
+	// the cross-shard protocol (see shard_run.go).
+	cross *crossState
+
+	// key caches id.Key() of the top-level execution: under versioning the
 	// formatted id is the pending-writer mark of every mutating step, the
 	// publication's and every undo's, and formatting it allocates. Guarded
-	// by mu (a sync.Once would push Exec into the next allocation size
-	// class, on every path); read it through topKey.
+	// by top.mu; read it through topKey.
 	key string
 
-	// goctx is the caller's context.Context; set on top-level executions
-	// only (descendants reach it through top).
-	goctx context.Context
+	// goctx is the caller's context.Context.
+	goctx  context.Context
+	killCh chan struct{}
 
-	// kill* exist only on top-level executions.
-	killed   atomic.Bool
-	killOnce sync.Once
-	killCh   chan struct{}
+	// touched backs touchedObjects' result for the common transaction,
+	// which mutates at most len(touched) objects.
+	touched [2]*Object
+}
+
+// topExec is the one allocation of an unsharded top-level attempt: the
+// execution and its tree's state.
+type topExec struct {
+	e  Exec
+	ts txnState
+}
+
+// newTop returns a top-level execution of en with its transaction state.
+func (en *Engine) newTop(ctx context.Context, id core.ExecID, name string, args []core.Value, readOnly bool) *Exec {
+	t := &topExec{}
+	t.e.initTop(en, &t.ts, ctx, id, name, args, readOnly)
+	return &t.e
+}
+
+// initTop fills in a top-level execution of en and the transaction state
+// ts it runs under.
+func (e *Exec) initTop(en *Engine, ts *txnState, ctx context.Context, id core.ExecID, name string, args []core.Value, readOnly bool) {
+	ts.goctx = ctx
+	ts.readOnly = readOnly
+	e.id = id
+	e.object = core.EnvironmentObject
+	e.method = name
+	e.args = args
+	e.eng = en
+	e.top = e
+	e.txn = ts
+	if !en.lend {
+		e.argBase = uint8(len(e.argBuf))
+	}
+}
+
+// newChild creates the child execution a message of parent runs as, in
+// engine home: one allocation holding the child's identity (while it is
+// at most len(idBuf) deep) and its copy of the message arguments, so the
+// caller's slice is not retained. Under a full history (home.lend unset)
+// the identity and the arguments are heap copies instead, the history's
+// own. It allocates the message index.
+func newChild(home *Engine, parent *Exec, object, method string, args []core.Value) *Exec {
+	c := &Exec{
+		object: object,
+		method: method,
+		eng:    home,
+		parent: parent,
+		top:    parent.top,
+		txn:    parent.txn,
+	}
+	k := parent.childN.Add(1) - 1
+	if !home.lend {
+		c.id = parent.id.Child(k)
+		c.args = cloneArgs(args)
+		c.argBase = uint8(len(c.argBuf))
+		return c
+	}
+	if n := len(parent.id) + 1; n <= len(c.idBuf) {
+		copy(c.idBuf[:], parent.id)
+		c.idBuf[n-1] = k
+		c.id = c.idBuf[:n:n]
+	} else {
+		c.id = parent.id.Child(k)
+	}
+	if n := len(args); n <= len(c.argBuf) {
+		copy(c.argBuf[:], args)
+		if n > 0 {
+			c.args = c.argBuf[:n:n]
+		}
+		c.argBase = uint8(n)
+	} else {
+		c.args = cloneArgs(args)
+	}
+	return c
+}
+
+// ownArgs copies the arguments of a step of e into storage e owns: free
+// argBuf slots while they last, else the heap. The history keeps the
+// copy, so the caller may reuse its slice.
+func (e *Exec) ownArgs(args []core.Value) []core.Value {
+	if len(args) == 0 {
+		return nil
+	}
+	n := int32(len(args))
+	free := int32(len(e.argBuf)) - int32(e.argBase)
+	if n <= free && e.argN.Load()+n <= free {
+		if end := e.argN.Add(n); end <= free {
+			at := int32(e.argBase) + end - n
+			own := e.argBuf[at : at+n : at+n]
+			copy(own, args)
+			return own
+		}
+	}
+	return cloneArgs(args)
+}
+
+// cloneArgs returns a heap copy of args, nil for none. (make and copy
+// compile to one makeslicecopy, cheaper than growing a nil slice.)
+func cloneArgs(args []core.Value) []core.Value {
+	if len(args) == 0 {
+		return nil
+	}
+	own := make([]core.Value, len(args))
+	copy(own, args)
+	return own
 }
 
 type undoEntry struct {
@@ -115,16 +248,17 @@ func (e *Exec) Top() *Exec { return e.top }
 func (e *Exec) topKey() string {
 	t := e.top
 	t.mu.Lock()
-	if t.key == "" {
-		t.key = t.id.Key()
+	if t.txn.key == "" {
+		t.txn.key = t.id.Key()
 	}
-	key := t.key
+	key := t.txn.key
 	t.mu.Unlock()
 	return key
 }
 
-// nextChildID allocates the identity of e's next child execution: the
-// message indices of one parent are assigned in send order.
+// nextChildID allocates the identity of e's next child execution on the
+// heap (the serial path's pooled children must not lend inline storage):
+// the message indices of one parent are assigned in send order.
 func (e *Exec) nextChildID() core.ExecID {
 	return e.id.Child(e.childN.Add(1) - 1)
 }
@@ -189,22 +323,21 @@ func (e *Exec) runUndo() {
 // any exec; it targets the top.
 func (e *Exec) kill() {
 	t := e.top
-	t.killed.Store(true)
-	t.killOnce.Do(func() {
-		if t.killCh != nil {
-			close(t.killCh)
-		}
-	})
+	t.mu.Lock()
+	if !t.txn.killed.Swap(true) && t.txn.killCh != nil {
+		close(t.txn.killCh)
+	}
+	t.mu.Unlock()
 }
 
 // Killed reports whether the transaction tree was marked for cascade
 // abort.
-func (e *Exec) Killed() bool { return e.top.killed.Load() }
+func (e *Exec) Killed() bool { return e.txn.killed.Load() }
 
 // Context returns the caller context the transaction tree runs under
 // (context.Background when the transaction was started without one).
 func (e *Exec) Context() context.Context {
-	if c := e.top.goctx; c != nil {
+	if c := e.txn.goctx; c != nil {
 		return c
 	}
 	return context.Background()
@@ -214,7 +347,7 @@ func (e *Exec) Context() context.Context {
 // dooms the transaction tree. Context aborts are not retriable: the caller
 // asked for the work to stop.
 func (e *Exec) ctxAbortErr() error {
-	if c := e.top.goctx; c != nil && c.Err() != nil {
+	if c := e.txn.goctx; c != nil && c.Err() != nil {
 		return &AbortError{Exec: e.id, Reason: "context", Retriable: false, Err: c.Err()}
 	}
 	return nil
@@ -224,14 +357,29 @@ func (e *Exec) ctxAbortErr() error {
 // commit or abort. A scheduler that keeps per-tree state re-checks it
 // after serving a request that passed the engine's own check, to clean up
 // what a late request (a goroutine leaked by a method body) re-created.
-func (e *Exec) TxnFinished() bool { return e.top.finished.Load() }
+func (e *Exec) TxnFinished() bool { return e.txn.finished.Load() }
 
 // finish marks the top-level transaction as ending; call it before the
 // scheduler's top-level Commit or Abort.
-func (e *Exec) finish() { e.top.finished.Store(true) }
+func (e *Exec) finish() { e.txn.finished.Store(true) }
 
-// KillCh returns the channel closed when the tree is killed.
-func (e *Exec) KillCh() <-chan struct{} { return e.top.killCh }
+// KillCh returns the channel closed when the tree is killed. It is made
+// on first use (most transactions never wait on it), already closed if
+// the tree was killed before.
+func (e *Exec) KillCh() <-chan struct{} {
+	t := e.top
+	t.mu.Lock()
+	ch := t.txn.killCh
+	if ch == nil {
+		ch = make(chan struct{})
+		if t.txn.killed.Load() {
+			close(ch)
+		}
+		t.txn.killCh = ch
+	}
+	t.mu.Unlock()
+	return ch
+}
 
 // Ctx is what method bodies receive: the handle through which a method
 // execution issues local steps and messages.
@@ -243,7 +391,9 @@ type Ctx struct {
 // Exec exposes the underlying execution (tests, schedulers).
 func (c *Ctx) Exec() *Exec { return c.e }
 
-// Args returns the invocation arguments of this method execution.
+// Args returns the invocation arguments of this method execution. For an
+// execution created by Ctx.Call they are the execution's own copy, taken
+// when the message was sent: the sender may reuse its slice.
 func (c *Ctx) Args() []core.Value { return c.e.args }
 
 // Arg returns argument i, or nil.
@@ -280,12 +430,15 @@ func (c *Ctx) checkAlive() error {
 // transactions to Call methods, and for methods to Do local steps on their
 // own object. Method bodies in examples follow that discipline; tests may
 // relax it for brevity on single-object scenarios.
+//
+// The arguments are copied into storage the execution owns before the
+// step is issued, so the caller may reuse its slice once Do returns.
 func (c *Ctx) Do(object, op string, args ...core.Value) (core.Value, error) {
 	if err := c.checkAlive(); err != nil {
 		return nil, err
 	}
-	inv := core.OpInvocation{Op: op, Args: args}
-	if c.e.top.cross != nil {
+	inv := core.OpInvocation{Op: op, Args: c.e.ownArgs(args)}
+	if c.e.txn.cross != nil {
 		// Sharded space: the object's home engine (and scheduler) is the
 		// directory's business, not this engine's.
 		return crossDo(c.e, object, inv)
@@ -294,11 +447,11 @@ func (c *Ctx) Do(object, op string, args ...core.Value) (core.Value, error) {
 	if obj == nil {
 		return nil, fmt.Errorf("engine: unknown object %q", object)
 	}
-	if top := c.e.top; top.snap != nil {
+	if txn := c.e.txn; txn.snapshot {
 		// Snapshot mode: serve the step from a committed version, never
 		// entering the scheduler or the lock manager.
 		return c.e.eng.viewStep(c.e, obj, inv)
-	} else if top.readOnly {
+	} else if txn.readOnly {
 		// Locked read-only fallback: steps still go through the
 		// scheduler, but mutators are rejected up front.
 		ro, err := obj.schema.ReadOnlyOp(inv.Op)
@@ -320,6 +473,9 @@ func (c *Ctx) Do(object, op string, args ...core.Value) (core.Value, error) {
 // creating a child method execution, and returns the child's return value.
 // A child abort is reported as an error; the parent survives and may retry
 // or take an alternative path (Section 3's motivation for semantics (b)).
+//
+// The child execution owns a copy of the arguments (Ctx.Args), so the
+// caller may reuse its slice once Call returns.
 func (c *Ctx) Call(object, method string, args ...core.Value) (core.Value, error) {
 	if err := c.checkAlive(); err != nil {
 		return nil, err

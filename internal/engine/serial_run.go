@@ -36,8 +36,13 @@ import (
 // serialExecPool recycles the per-attempt shardedExec of serial
 // transactions. Only the serial path pools: it hands its Exec to no
 // scheduler, lock manager, or dependency tracker, so nothing can retain
-// a pointer past the attempt (history records keep ExecIDs, not Execs).
-// The scheduled and view paths keep allocating.
+// a pointer past the attempt. The history does retain the identities and
+// arguments of its executions, steps and messages, and an AbortError
+// carries an identity: so a pooled Exec never lends its inline storage
+// (idBuf, argBuf) — its children's ids and all arguments are copied to
+// the heap. Every other path allocates each Exec once and never reuses
+// it, which is what lets those Execs lend their buffers (with history
+// off: see Engine.lend).
 var serialExecPool = sync.Pool{New: func() any { return &shardedExec{} }}
 
 // serialChildPool recycles child method executions of serial
@@ -45,21 +50,23 @@ var serialExecPool = sync.Pool{New: func() any { return &shardedExec{} }}
 var serialChildPool = sync.Pool{New: func() any { return &Exec{} }}
 
 // serialChildGet returns a reset child execution for the serial path,
-// recorded-in home (the caller AddExecs it there immediately).
+// recorded-in home (the caller AddExecs it there immediately). Its
+// arguments are a heap copy of the sender's.
 func serialChildGet(home *Engine, parent *Exec, id core.ExecID, object, method string, args []core.Value) *Exec {
 	c := serialChildPool.Get().(*Exec)
 	c.id = id
 	c.object = object
 	c.method = method
-	c.args = args
+	c.args = cloneArgs(args)
+	c.argBase = uint8(len(c.argBuf))
 	c.eng = home
 	c.parent = parent
 	c.top = parent.top
+	c.txn = parent.txn
 	c.undo = nil
 	c.childN.Store(0)
 	c.laneN.Store(0)
 	c.SchedData = nil
-	c.snap = nil
 	c.recIn.Store(home)
 	return c
 }
@@ -70,17 +77,19 @@ func serialChildGet(home *Engine, parent *Exec, id core.ExecID, object, method s
 // the serial path can have touched must be listed here.
 func serialExecGet(r Router) *shardedExec {
 	st := serialExecPool.Get().(*shardedExec)
-	e, cs := &st.e, &st.cs
+	e, ts, cs := &st.e, &st.ts, &st.cs
 	e.args = nil
 	e.parent = nil
 	e.undo = nil
 	e.childN.Store(0)
 	e.laneN.Store(0)
+	e.argBase = uint8(len(e.argBuf))
 	e.SchedData = nil
-	e.snap = nil
 	e.recIn.Store(nil)
-	e.killed.Store(false)
-	e.cross = cs
+	ts.killed.Store(false)
+	ts.killCh = nil
+	ts.key = ""
+	ts.cross = cs
 	cs.r = r
 	cs.view = false
 	cs.serial = true
@@ -124,14 +133,7 @@ func (en *Engine) runSerialOnce(ctx context.Context, r Router, sp obs.Span, name
 		}
 	}()
 	e, cs := &st.e, &st.cs
-	e.id = id
-	e.object = core.EnvironmentObject
-	e.method = name
-	e.args = args
-	e.eng = en
-	e.goctx = ctx
-	e.readOnly = readOnly
-	e.top = e
+	e.initTop(en, &st.ts, ctx, id, name, args, readOnly)
 	for i, s := range gate {
 		if err := lockGateCtx(ctx, r, s); err != nil {
 			// Cancelled while queued: hand control back without waiting
@@ -301,7 +303,7 @@ func (cs *crossState) serialDo(e *Exec, object string, inv core.OpInvocation) (c
 			}
 		}
 	}
-	if e.top.readOnly {
+	if e.txn.readOnly {
 		ro, roerr := obj.schema.ReadOnlyOp(inv.Op)
 		if roerr != nil {
 			return nil, roerr
@@ -323,7 +325,7 @@ func (cs *crossState) serialDo(e *Exec, object string, inv core.OpInvocation) (c
 // child's effects and surfaces as the Call's error, exactly as in the
 // scheduled path.
 func serialCall(parent *Exec, lane int, object, method string, args []core.Value) (core.Value, error) {
-	cs := parent.top.cross
+	cs := parent.txn.cross
 	var home *Engine
 	var ent regEntry
 	if parent != parent.top {
@@ -356,18 +358,17 @@ func serialCall(parent *Exec, lane int, object, method string, args []core.Value
 		}
 	}
 
-	childID := parent.nextChildID()
-	msg, err := home.rec.StartMessage(parent.id, childID, lane, object, method, args)
+	child := serialChildGet(home, parent, parent.nextChildID(), object, method, args)
+	defer serialChildPool.Put(child)
+	msg, err := home.rec.StartMessage(parent.id, child.id, lane, object, method, child.args)
 	if err != nil {
 		return nil, historyAbort(parent.id, err)
 	}
-	child := serialChildGet(home, parent, childID, object, method, args)
-	defer serialChildPool.Put(child)
 	// The child's record lands in exactly one engine — the one it runs
 	// in — so it skips the crossState bookkeeping entirely.
-	if err := home.rec.AddExec(childID, object, method); err != nil {
+	if err := home.rec.AddExec(child.id, object, method); err != nil {
 		home.rec.EndMessage(msg, nil, true)
-		return nil, historyAbort(childID, err)
+		return nil, historyAbort(child.id, err)
 	}
 	ret, err := fn(child.ctx())
 	if err != nil {

@@ -222,11 +222,13 @@ type joinedShard struct {
 	en *Engine
 }
 
-// shardedExec bundles a sharded transaction's execution record and its
-// routing state into one allocation — both are born and die together on
-// every attempt of every transaction of a sharded space.
+// shardedExec bundles a sharded transaction's execution record, its
+// transaction state and its routing state into one allocation — all are
+// born and die together on every attempt of every transaction of a
+// sharded space.
 type shardedExec struct {
 	e  Exec
+	ts txnState
 	cs crossState
 	// joinedInline backs cs.joined for the overwhelmingly common shard
 	// fan-outs (one or two shards) without a separate allocation.
@@ -243,7 +245,7 @@ func newShardedExec(r Router, view bool) *shardedExec {
 	st.cs.joined = st.joinedInline[:0]
 	st.cs.scheds = st.schedInline[:0]
 	st.cs.topIn = st.topInInline[:0]
-	st.e.cross = &st.cs
+	st.ts.cross = &st.cs
 	return st
 }
 
@@ -708,15 +710,7 @@ func (en *Engine) runShardedOnce(ctx context.Context, r Router, sp obs.Span, nam
 	}
 	st := newShardedExec(r, false)
 	e, cs := &st.e, &st.cs
-	e.id = id
-	e.object = core.EnvironmentObject
-	e.method = name
-	e.args = args
-	e.eng = en
-	e.goctx = ctx
-	e.killCh = make(chan struct{})
-	e.readOnly = readOnly
-	e.top = e
+	e.initTop(en, &st.ts, ctx, id, name, args, readOnly)
 	if len(pregate) > 0 {
 		// Pre-declared cross-shard transaction: acquire every gate before
 		// executing anything, in directory order, holding no locks, and
@@ -821,7 +815,7 @@ func (en *Engine) runShardedOnce(ctx context.Context, r Router, sp obs.Span, nam
 // home engine and scheduler (or the serial fast path / pinned snapshot,
 // by mode).
 func crossDo(e *Exec, object string, inv core.OpInvocation) (core.Value, error) {
-	cs := e.top.cross
+	cs := e.txn.cross
 	if cs.serial {
 		return cs.serialDo(e, object, inv)
 	}
@@ -857,7 +851,7 @@ func crossDo(e *Exec, object string, inv core.OpInvocation) (core.Value, error) 
 	} else if cs.view {
 		return cs.viewDo(e, home, obj, inv)
 	}
-	if e.top.readOnly {
+	if e.txn.readOnly {
 		ro, roerr := obj.schema.ReadOnlyOp(inv.Op)
 		if roerr != nil {
 			return nil, roerr
@@ -879,7 +873,7 @@ func crossDo(e *Exec, object string, inv core.OpInvocation) (core.Value, error) 
 // scheduler, while keeping the globally unique execution identity its
 // parent allocated.
 func crossCall(parent *Exec, lane int, object, method string, args []core.Value) (core.Value, error) {
-	cs := parent.top.cross
+	cs := parent.txn.cross
 	if cs.serial {
 		return serialCall(parent, lane, object, method, args)
 	}
@@ -901,19 +895,10 @@ func crossCall(parent *Exec, lane int, object, method string, args []core.Value)
 		return nil, err
 	}
 
-	childID := parent.nextChildID()
-	msg, err := home.rec.StartMessage(parent.id, childID, lane, object, method, args)
+	child := newChild(home, parent, object, method, args)
+	msg, err := home.rec.StartMessage(parent.id, child.id, lane, object, method, child.args)
 	if err != nil {
 		return nil, historyAbort(parent.id, err)
-	}
-	child := &Exec{
-		id:     childID,
-		object: object,
-		method: method,
-		args:   args,
-		eng:    home,
-		parent: parent,
-		top:    parent.top,
 	}
 	if err := cs.record(home, child); err != nil {
 		home.rec.EndMessage(msg, nil, true)
@@ -954,19 +939,26 @@ func crossAbortChild(cs *crossState, e *Exec) {
 // publishCommitSharded publishes the committed states of a cross-shard
 // transaction: each joined engine sequences the objects it owns under
 // its own publication counter (snapshots are per-shard — see
-// RunViewSharded).
+// RunViewSharded). A transaction touches few objects, so they are
+// grouped by engine in place, by swapping each engine's objects to the
+// front of the unpublished rest.
 func publishCommitSharded(e *Exec) {
 	objs := e.touchedObjects()
 	if len(objs) == 0 {
 		return
 	}
-	byEng := make(map[*Engine][]*Object)
-	for _, o := range objs {
-		byEng[o.eng] = append(byEng[o.eng], o)
-	}
 	topKey := e.topKey()
-	for en, list := range byEng {
-		en.publishObjects(topKey, list)
+	for len(objs) > 0 {
+		en := objs[0].eng
+		n := 1
+		for i := 1; i < len(objs); i++ {
+			if objs[i].eng == en {
+				objs[n], objs[i] = objs[i], objs[n]
+				n++
+			}
+		}
+		en.publishObjects(topKey, objs[:n])
+		objs = objs[n:]
 	}
 }
 
@@ -1014,15 +1006,7 @@ func (en *Engine) runViewShardedOnce(ctx context.Context, r Router, name string,
 	defer en.releaseTop(id)
 	st := newShardedExec(r, true)
 	e, cs := &st.e, &st.cs
-	e.id = id
-	e.object = core.EnvironmentObject
-	e.method = name
-	e.args = args
-	e.eng = en
-	e.goctx = ctx
-	e.killCh = make(chan struct{})
-	e.readOnly = true
-	e.top = e
+	e.initTop(en, &st.ts, ctx, id, name, args, true)
 	// Eager top record in the base engine, as on every other path: a
 	// view that reads nothing must still appear in the stitched history.
 	if err := en.rec.AddExec(id, e.object, e.method); err != nil {
@@ -1033,6 +1017,8 @@ func (en *Engine) runViewShardedOnce(ctx context.Context, r Router, name string,
 	if err == nil {
 		err = e.ctxAbortErr()
 	}
+	// The attempt is over: a goroutine the body leaked must not step.
+	e.finish()
 	cs.mu.Lock()
 	pin, seq := cs.pinned, cs.snapSeq
 	cs.mu.Unlock()
@@ -1062,7 +1048,7 @@ func (cs *crossState) pinView(top *Exec, home *Engine) error {
 		cs.pinned = home
 		cs.counted = home
 		cs.snapSeq = home.pubSeq.Load()
-		top.snap = &viewSnap{seq: cs.snapSeq}
+		top.txn.snap.seq = cs.snapSeq
 		return cs.recordLocked(home, top)
 	}
 	if cs.pinned != home {
@@ -1082,7 +1068,7 @@ func (cs *crossState) viewDo(e *Exec, home *Engine, obj *Object, inv core.OpInvo
 // crossViewCall routes a message of a sharded snapshot transaction: the
 // target object must live in the pinned shard (pinning it on first use).
 func crossViewCall(parent *Exec, lane int, object, method string, args []core.Value) (core.Value, error) {
-	cs := parent.top.cross
+	cs := parent.txn.cross
 	home, _, err := cs.r.HomeOf(object)
 	if err != nil {
 		return nil, err

@@ -57,7 +57,7 @@ var ErrReadOnlyWrite = errors.New("engine: read-only transaction issued a mutati
 var ErrSnapshotStale = errors.New("engine: snapshot no longer resolvable")
 
 // viewSnap is the per-transaction snapshot handle: the global commit
-// sequence number the tree reads at.
+// sequence number the tree reads at (valid once txnState.snapshot is set).
 type viewSnap struct {
 	seq uint64
 }
@@ -134,18 +134,9 @@ func (en *Engine) runViewOnce(ctx context.Context, name string, fn MethodFunc, a
 		// unmeasured gap (the phases partition the attempt's wall time).
 		sp = sp.WithExec(id.Key())
 	}
-	e := &Exec{
-		id:       id,
-		object:   core.EnvironmentObject,
-		method:   name,
-		args:     args,
-		eng:      en,
-		goctx:    ctx,
-		killCh:   make(chan struct{}),
-		readOnly: true,
-		snap:     &viewSnap{seq: seq},
-	}
-	e.top = e
+	e := en.newTop(ctx, id, name, args, true)
+	e.txn.snapshot = true
+	e.txn.snap.seq = seq
 	if err := en.rec.AddExec(e.id, e.object, e.method); err != nil {
 		sp.EndWith("abort")
 		return nil, historyAbort(e.id, err)
@@ -153,6 +144,9 @@ func (en *Engine) runViewOnce(ctx context.Context, name string, fn MethodFunc, a
 	sp = sp.Next(obs.PhaseExecute)
 	defer sp.End()
 	ret, err := fn(e.ctx())
+	// A goroutine the body leaks must not step once the attempt is over:
+	// its reads would land in the history after the view's outcome.
+	e.finish()
 	if err == nil {
 		err = e.ctxAbortErr()
 	}
@@ -185,7 +179,7 @@ func (en *Engine) viewStep(e *Exec, obj *Object, inv core.OpInvocation) (core.Va
 	if !op.ReadOnly {
 		return nil, readOnlyAbort(e, obj.name, inv)
 	}
-	snap := e.top.snap
+	snap := &e.txn.snap
 	ring := obj.vers.Load()
 	if ring == nil {
 		return nil, fmt.Errorf("engine: viewStep on %s: %w", obj.name, ErrViewDisabled)
@@ -215,23 +209,14 @@ func (en *Engine) viewCall(parent *Exec, lane int, object, method string, args [
 	if err != nil {
 		return nil, err
 	}
-	childID := parent.nextChildID()
-	msg, err := en.rec.StartMessage(parent.id, childID, lane, object, method, args)
+	child := newChild(en, parent, object, method, args)
+	msg, err := en.rec.StartMessage(parent.id, child.id, lane, object, method, child.args)
 	if err != nil {
 		return nil, historyAbort(parent.id, err)
 	}
-	child := &Exec{
-		id:     childID,
-		object: object,
-		method: method,
-		args:   args,
-		eng:    en,
-		parent: parent,
-		top:    parent.top,
-	}
-	if err := en.rec.AddExec(childID, object, method); err != nil {
+	if err := en.rec.AddExec(child.id, object, method); err != nil {
 		en.rec.EndMessage(msg, nil, true)
-		return nil, historyAbort(childID, err)
+		return nil, historyAbort(child.id, err)
 	}
 	ret, err := fn(child.ctx())
 	if err != nil {
@@ -291,11 +276,13 @@ func (en *Engine) publishObjects(topKey string, objs []*Object) {
 }
 
 // touchedObjects returns the distinct objects carrying the execution's
-// provisional effects (its undo log), in first-touch order.
+// provisional effects (its undo log), in first-touch order. The result
+// lives in the transaction's inline buffer while it fits, so it is valid
+// until the next call.
 func (e *Exec) touchedObjects() []*Object {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var out []*Object
+	out := e.txn.touched[:0]
 	seen := make(map[*Object]bool, 4)
 	for _, u := range e.undo {
 		if !seen[u.obj] {

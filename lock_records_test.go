@@ -260,3 +260,49 @@ func TestLeakedGoroutineStepsRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestLeakedGoroutineViewStepsRefused is the snapshot-view case: a Ctx a
+// db.View body leaks cannot step or send once View returned, unsharded or
+// sharded. (Views used to skip the finish mark, so a late Do read the
+// snapshot and returned a nil error.)
+func TestLeakedGoroutineViewStepsRefused(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		opts []objectbase.Option
+	}{
+		{"unsharded", []objectbase.Option{objectbase.WithReadOnly()}},
+		{"sharded", []objectbase.Option{objectbase.WithReadOnly(), objectbase.WithShards(2)}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			db := openLockDB(t, cfg.opts...)
+			if err := db.RegisterMethod("a", "r", func(x *objectbase.Ctx) (objectbase.Value, error) {
+				return x.Do("a", "Read", "x")
+			}); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			var leaked *objectbase.Ctx
+			if _, err := db.View(ctx, "leaky", func(x *objectbase.Ctx) (objectbase.Value, error) {
+				if _, err := x.Call("a", "r"); err != nil {
+					return nil, err
+				}
+				leaked = x
+				return nil, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if st := db.Stats(); st.ViewCommits != 1 || st.ViewFallbacks != 0 {
+				t.Fatalf("view commits %d, fallbacks %d: want one snapshot commit", st.ViewCommits, st.ViewFallbacks)
+			}
+			if _, err := leaked.Do("a", "Read", "x"); !errors.Is(err, objectbase.ErrTxnFinished) {
+				t.Errorf("Do after View returned: %v, want ErrTxnFinished", err)
+			}
+			if _, err := leaked.Call("a", "r"); !errors.Is(err, objectbase.ErrTxnFinished) {
+				t.Errorf("Call after View returned: %v, want ErrTxnFinished", err)
+			}
+			if _, err := db.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
